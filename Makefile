@@ -26,9 +26,10 @@ lint-examples:
 # out), the race-enabled test suite (which includes the fvcached
 # service e2e tests: request coalescing, 429 backpressure, graceful
 # drain, deadlines, the circuit breaker, and the chaos detection
-# matrix over the durable result cache), a race-enabled rerun of the
-# chunk-parallel seam-equivalence suite (workers racing over shared
-# chunk columns must stay bit-identical to serial), a short fuzz smoke
+# matrix over the durable result cache, the chunk-parallel seam-
+# equivalence suite — workers racing over shared chunk columns must
+# stay bit-identical to serial — the flight-recorder concurrency test,
+# the 3-node fleet suite and the cache-hit fast path), a short fuzz smoke
 # run over the hardened trace reader, the columnar chunk codec, and
 # the result-cache entry codec, the telemetry-overhead gate (the
 # steady-state replay loops — serial, fused batch, and the per-worker
@@ -48,22 +49,16 @@ lint-examples:
 # stack update and the fused direct-mapped table walk. The request-
 # observability additions gate here too: an obsoff build + test of the
 # reqtrace layer, the span hot path's zero-alloc pin with telemetry
-# compiled in, the race-enabled flight-recorder test, a serveload
-# smoke against a booted fvcached (TestServeLoadSmoke), and schema
-# validation of the committed BENCH_serve.json artifact. The fleet
-# additions gate here as well: a race-enabled fleet smoke (3-node
-# ownership + bit-identity, node-kill fallback + re-join, debug
-# endpoints), an obsoff build + test of the public api and client
-# packages, and the serveload -verify run now also checks the fleet
-# lane (forward ratio vs (n-1)/n, single ownership, fleet hit ratio).
+# compiled in, a serveload smoke against a booted fvcached
+# (TestServeLoadSmoke), and schema validation of the committed
+# BENCH_serve.json artifact. The fleet additions gate here as well: an
+# obsoff build + test of the public api and client packages, and the
+# serveload -verify run also checks the fleet lane (forward ratio vs
+# (n-1)/n, single ownership, fleet hit ratio) and the hit fast path
+# (measure-hit p50 under 1ms, no hit trace waiting on a batch).
 check: vet lint-examples build
 	$(GO) build -tags obsoff ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run='TestChaos' ./internal/resultcache
-	$(GO) test -race -count=1 -run='TestParallelReplayEquivalence|TestParallelReplayChunkSizeSweep' ./internal/sim
-	$(GO) test -race -count=1 -run='TestRecorderConcurrency' ./internal/obs/reqtrace
-	$(GO) test -race -count=1 -run='TestFleet' ./internal/serve
-	$(GO) test -race -count=1 ./internal/fleet
 	$(GO) test -tags obsoff ./internal/obs ./internal/obs/reqtrace ./internal/serve ./internal/sim ./internal/core ./internal/mrc ./api ./client
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=5s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=5s

@@ -216,22 +216,35 @@ type Result struct {
 // BatchInfo tells a client how its request was executed — the
 // coalescing and cache observability the serving benchmark classifies
 // outcomes from.
+//
+// The server probes the durable result cache before coalescing, so
+// only a request's cache misses join a fused batch execution. A
+// request the cache answers in full runs no batch at all and reports
+// itself as a batch of one: requests 1, configs n (the request's own
+// config count), coalesced false, cache_hits n, and trace_id set to
+// the request's own ID. A request is therefore a full hit exactly when
+// cache_hits equals the number of configs it sent.
 type BatchInfo struct {
-	// Requests is how many client requests this fused execution served.
+	// Requests is how many client requests this fused execution served
+	// (1 for a request answered without a batch).
 	Requests int `json:"requests"`
-	// Configs is how many distinct member systems the batch drove.
+	// Configs is how many distinct member systems the batch drove — the
+	// request's cache misses and those of its batch-mates — or, for a
+	// request answered without a batch, how many configs it sent.
 	Configs int `json:"configs"`
 	// Coalesced is true when the request shared its execution with at
 	// least one other request.
 	Coalesced bool `json:"coalesced"`
-	// CacheHits is how many of the batch's configs were served from the
-	// durable result cache instead of being re-simulated;
+	// CacheHits is how many of this request's configs were served from
+	// the durable result cache instead of being re-simulated, counted
+	// per request (a config repeated in the request counts each time);
 	// CacheDiskHits is the subset faulted in from the disk tier.
 	CacheHits     int `json:"cache_hits,omitempty"`
 	CacheDiskHits int `json:"cache_disk_hits,omitempty"`
 	// TraceID is the fused batch's trace ID, shared by every coalesced
 	// member of the execution — clients correlate batch-mates (and the
-	// batch's stage timeline at /debug/requests) through it.
+	// batch's stage timeline at /debug/requests) through it. A request
+	// answered without a batch carries its own request ID here.
 	TraceID string `json:"trace_id,omitempty"`
 	// Node identifies the fleet node that executed the batch (its base
 	// URL); empty on a single-node server. Under owner-forwarding this
@@ -314,10 +327,12 @@ type MRCSummary struct {
 	Requests  int  `json:"requests"`
 	Coalesced bool `json:"coalesced"`
 	// CacheHit is true when the curve came from the durable result
-	// cache instead of a fresh analysis pass.
+	// cache instead of a fresh analysis pass. A hit is answered before
+	// any flight opens, so it reports requests 1, coalesced false, and
+	// its own request ID as trace_id.
 	CacheHit bool `json:"cache_hit"`
 	// TraceID is the flight's trace ID, shared by every coalesced
-	// member of the singleflight.
+	// member of the singleflight (the request's own ID on a cache hit).
 	TraceID string `json:"trace_id,omitempty"`
 	// Node identifies the fleet node whose analysis pass (or cache)
 	// produced the curves; empty on a single-node server.

@@ -16,16 +16,20 @@
 // Zipf distribution over the full registered set, configurations from
 // a small reused pool (config-fingerprint reuse is what exercises
 // request coalescing and both result-cache tiers), and 15% of
-// requests take the analytic /v1/mrc path. The run moves through five
+// requests take the analytic /v1/mrc path. The run moves through six
 // phases:
 //
 //	warmup    closed-loop, results discarded; populates the result cache
+//	hit probe one caller re-asks keys it just computed on the quiet
+//	          server: the unloaded cache-hit latency (-verify: p50 < 1ms)
 //	closed    N workers back to back — the cache-hit steady state
 //	open      fixed arrival rate, latency under unsynchronized load
-//	burst     rounds of identical concurrent requests — coalescing
-//	deadline  deadline_ms shorter than the coalescing window — 504s,
-//	          and the circuit breaker they open (503s). Runs LAST so
-//	          breaker fallout cannot pollute the steady-state phases.
+//	burst     rounds of identical concurrent requests for a config no
+//	          earlier request asked — coalescing (hits never coalesce)
+//	deadline  deadline_ms shorter than the coalescing window on a config
+//	          the mix never caches — 504s, and the circuit breaker they
+//	          open (503s). Runs LAST so breaker fallout cannot pollute
+//	          the steady-state phases.
 //
 // With -cluster n (default 3, 0 disables) the run then boots an n-node
 // consistent-hash fleet (static -peers membership), replays the warm
@@ -35,12 +39,14 @@
 // exactly-one-owner invariant (multi_owner_keys).
 //
 // The artifact records exact (sorted-sample) p50/p90/p99/p999 per
-// endpoint, hit/coalesce ratios, 429/503/504 rates, and per-stage
-// time attribution aggregated from the server's /debug/requests span
-// data. -verify re-reads an artifact and checks every structural
-// invariant (schema, quantile ordering, ratio ranges, stage coverage,
-// fleet-lane gates), plus the telemetry snapshot written next to it on
-// the spawned server's SIGTERM drain; make check uses it to keep the
+// endpoint, hit/coalesce ratios, 429/503/504 rates, per-stage time
+// attribution aggregated from the server's /debug/requests span data,
+// and the cache-hit fast path (measure-hit p50, and how many hit traces
+// waited on a coalescing window or the queue). -verify re-reads an
+// artifact and checks every structural invariant (schema, quantile
+// ordering, ratio ranges, stage coverage, hit-path and fleet-lane
+// gates), plus the telemetry snapshot written next to it on the
+// spawned server's SIGTERM drain; make check uses it to keep the
 // committed artifact honest.
 package main
 
@@ -92,6 +98,29 @@ type stageStat struct {
 	TotalUS int64   `json:"total_us"`
 }
 
+// hitPathReport pins the cache-hit fast path: the server answers a hit
+// in its handler, so a hit never waits on a coalescing window or the
+// batch queue.
+type hitPathReport struct {
+	// MeasureHits and MeasureP50US: the exact p50 of the hit probe —
+	// one caller re-asking /v1/measure keys it has just computed, on an
+	// otherwise idle server, so the number is the hit path's own cost
+	// rather than the closed loop's queueing. Absent on the fleet lane.
+	MeasureHits  int   `json:"measure_hits,omitempty"`
+	MeasureP50US int64 `json:"measure_p50_us,omitempty"`
+	// Traces counts hit-outcome traces in the flight recorder;
+	// WaitSpans how many of them carry a coalesce_wait or queue_wait
+	// span (must be zero).
+	Traces    int `json:"traces"`
+	WaitSpans int `json:"wait_spans"`
+}
+
+// maxHitP50US is the -verify bound on the measure-hit p50.
+const maxHitP50US = 1000
+
+// hitProbeRequests is the size of the hit probe's measured pass.
+const hitProbeRequests = 200
+
 // fleetReport is the artifact's fleet lane: the same serving metrics
 // measured against an n-node consistent-hash fleet driven uniformly
 // across every node, plus the fleet-specific invariants.
@@ -99,9 +128,9 @@ type fleetReport struct {
 	Nodes    int `json:"nodes"`
 	Requests int `json:"requests"`
 
-	// HitRatio / CoalesceRatio over successful requests, as in the
-	// single-node lane. A healthy fleet keeps owner-cache affinity, so
-	// hit_ratio must be at least the single-node lane's.
+	// HitRatio / CoalesceRatio as in the single-node lane. A healthy
+	// fleet keeps owner-cache affinity, so hit_ratio must be at least
+	// the single-node lane's.
 	HitRatio      float64 `json:"hit_ratio"`
 	CoalesceRatio float64 `json:"coalesce_ratio"`
 
@@ -120,6 +149,9 @@ type fleetReport struct {
 	// StagesUS merges /debug/requests span attribution across every
 	// node; the forward stage is the proxy hop itself.
 	StagesUS map[string]stageStat `json:"stages_us"`
+	// HitPath is the hit fast path across every node (a forwarded hit
+	// is a hit on its owner).
+	HitPath hitPathReport `json:"hit_path"`
 
 	// Counters sums each node's /debug/fleet ownership counters.
 	Counters fleetCounters `json:"counters"`
@@ -148,8 +180,10 @@ type report struct {
 	// 429 / 503 / 504 / error.
 	Outcomes map[string]int `json:"outcomes"`
 
-	// HitRatio and CoalesceRatio are fractions of successful (2xx)
-	// requests; the rates are fractions of all requests.
+	// HitRatio is the fraction of successful (2xx) warm-mix requests
+	// answered from the cache; the burst phase asks cold keys on
+	// purpose and is left out. CoalesceRatio is a fraction of all
+	// successful requests, and the rates of all requests.
 	HitRatio      float64 `json:"hit_ratio"`
 	CoalesceRatio float64 `json:"coalesce_ratio"`
 	Rate429       float64 `json:"rate_429"`
@@ -160,6 +194,9 @@ type report struct {
 	// queue_wait, cache_probe, replay, encode, ...) from the span trees
 	// at /debug/requests.
 	StagesUS map[string]stageStat `json:"stages_us"`
+
+	// HitPath is the cache-hit fast path.
+	HitPath hitPathReport `json:"hit_path"`
 
 	// Fleet is the n-node fleet lane (-cluster), absent when disabled.
 	Fleet *fleetReport `json:"fleet,omitempty"`
@@ -173,6 +210,7 @@ type sample struct {
 	node     string // executing fleet node (batch/summary .Node)
 	fwd      bool   // answered through a proxy hop
 	key      string // ownership key: endpoint|workload|config identity
+	cold     bool   // sent in the burst phase, whose keys are cold by design
 }
 
 // recorder collects samples from concurrent workers.
@@ -180,13 +218,21 @@ type recorder struct {
 	mu      sync.Mutex
 	samples []sample
 	discard bool
+	cold    bool
 }
 
 func (r *recorder) add(s sample) {
 	r.mu.Lock()
 	if !r.discard {
+		s.cold = r.cold
 		r.samples = append(r.samples, s)
 	}
+	r.mu.Unlock()
+}
+
+func (r *recorder) setCold(c bool) {
+	r.mu.Lock()
+	r.cold = c
 	r.mu.Unlock()
 }
 
@@ -265,7 +311,10 @@ func errOutcome(err error) string {
 }
 
 // oneMeasure issues a single measure request and records its sample.
-func (g *gen) oneMeasure(req api.MeasureRequest) {
+func (g *gen) oneMeasure(req api.MeasureRequest) { g.rec.add(g.measure(req)) }
+
+// measure issues a single measure request and classifies it.
+func (g *gen) measure(req api.MeasureRequest) sample {
 	key := "measure|" + req.Workload
 	if req.Config != nil {
 		key += "|" + req.Config.Normalized().Fingerprint()
@@ -274,20 +323,22 @@ func (g *gen) oneMeasure(req api.MeasureRequest) {
 	resp, err := g.pickClient().Measure(context.Background(), req)
 	us := time.Since(start).Microseconds()
 	if err != nil {
-		g.rec.add(sample{endpoint: "measure", us: us, outcome: errOutcome(err), key: key})
-		return
+		return sample{endpoint: "measure", us: us, outcome: errOutcome(err), key: key}
 	}
+	// A request answered in full from the cache counts a hit for every
+	// config it sent (one result each); one with misses counts only its
+	// own hits.
 	outcome := "executed"
 	switch {
-	case resp.Batch.Configs > 0 && resp.Batch.CacheHits == resp.Batch.Configs:
+	case resp.Batch.CacheHits == len(resp.Results):
 		outcome = "hit"
 	case resp.Batch.Coalesced:
 		outcome = "coalesced"
 	}
-	g.rec.add(sample{
+	return sample{
 		endpoint: "measure", us: us, outcome: outcome,
 		node: resp.Batch.Node, fwd: resp.ForwardedBy != "", key: key,
-	})
+	}
 }
 
 // oneMRC issues a single streamed MRC request and records its sample.
@@ -375,14 +426,18 @@ func (g *gen) openLoop(rate int, d time.Duration, seed int64) {
 
 // burst fires rounds of identical concurrent requests: every member
 // lands inside one coalescing window, so the fused-batch path gets a
-// directed workout. Across a fleet the members spread over all nodes
-// and still coalesce at the single owner.
+// directed workout. Each round asks a config no earlier request did —
+// the server answers hits before coalescing, so only misses can fuse.
+// Across a fleet the members spread over all nodes and still coalesce
+// at the single owner.
 func (g *gen) burst(rounds, width int, seed int64) {
+	g.rec.setCold(true)
+	defer g.rec.setCold(false)
 	rng := rand.New(rand.NewSource(seed + 7))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(g.names)-1))
 	for r := 0; r < rounds; r++ {
 		wl := g.names[int(zipf.Uint64())%len(g.names)]
-		cfg := configPool[rng.Intn(len(configPool))]
+		cfg := api.Config{MainBytes: 4096, VictimEntries: 3 + r} // outside configPool
 		req := api.MeasureRequest{Workload: wl, Scale: "test", Config: &cfg}
 		var wg sync.WaitGroup
 		for i := 0; i < width; i++ {
@@ -395,14 +450,16 @@ func (g *gen) burst(rounds, width int, seed int64) {
 }
 
 // deadlines issues requests whose deadline is shorter than the
-// server's coalescing window: every one times out (504), and the
-// failures open the per-workload circuit breaker (503). Must run last.
+// server's coalescing window, for a config the result cache never
+// holds: every one times out (504), and the failures open the
+// per-workload circuit breaker (503). Must run last.
 func (g *gen) deadlines(d time.Duration, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 13))
 	wl := g.names[rng.Intn(len(g.names))]
+	cfg := api.Config{MainBytes: 32768, Assoc: 4} // outside configPool
 	stop := time.Now().Add(d)
 	for time.Now().Before(stop) {
-		g.oneMeasure(api.MeasureRequest{Workload: wl, Scale: "test", DeadlineMS: 1})
+		g.oneMeasure(api.MeasureRequest{Workload: wl, Scale: "test", Config: &cfg, DeadlineMS: 1})
 		time.Sleep(5 * time.Millisecond)
 	}
 }
@@ -429,8 +486,9 @@ func (g *gen) warmFleet() {
 }
 
 // scrapeStages aggregates span durations by name from one server's
-// flight recorder into agg.
-func scrapeStages(base string, agg map[string]stageStat) error {
+// flight recorder into agg, and counts its hit traces (and those that
+// waited on a batch) into hp.
+func scrapeStages(base string, agg map[string]stageStat, hp *hitPathReport) error {
 	resp, err := http.Get(base + "/debug/requests?n=100000")
 	if err != nil {
 		return err
@@ -443,14 +501,46 @@ func scrapeStages(base string, agg map[string]stageStat) error {
 		return err
 	}
 	for _, tr := range out.Traces {
+		waited := false
 		for _, sp := range tr.Spans {
 			s := agg[sp.Name]
 			s.Count++
 			s.TotalUS += sp.DurationUS
 			agg[sp.Name] = s
+			waited = waited || sp.Name == "coalesce_wait" || sp.Name == "queue_wait"
+		}
+		if tr.Outcome == "hit" {
+			hp.Traces++
+			if waited {
+				hp.WaitSpans++
+			}
 		}
 	}
 	return nil
+}
+
+// hitProbe measures the unloaded cache-hit path into hp: one caller
+// asks every workload's default config once (computing whatever the
+// warmup missed), then re-asks them round-robin, timing only the
+// answers that come back as full hits. Its samples stay out of the
+// recorded mix.
+func (g *gen) hitProbe(hp *hitPathReport) {
+	req := func(i int) api.MeasureRequest {
+		cfg := configPool[0]
+		return api.MeasureRequest{Workload: g.names[i%len(g.names)], Scale: "test", Config: &cfg}
+	}
+	for i := range g.names {
+		g.measure(req(i))
+	}
+	var lat []int64
+	for i := 0; i < hitProbeRequests; i++ {
+		if s := g.measure(req(i)); s.outcome == "hit" {
+			lat = append(lat, s.us)
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	hp.MeasureHits = len(lat)
+	hp.MeasureP50US = quantileUS(lat, 0.50)
 }
 
 func finishStages(agg map[string]stageStat) map[string]stageStat {
@@ -501,24 +591,30 @@ func quantileUS(sorted []int64, q float64) int64 {
 }
 
 // tally computes the per-endpoint quantiles and outcome counts shared
-// by both lanes; returns (endpoints, outcomes, ok, hit, coalesced).
-func tally(samples []sample) (map[string]endpointStats, map[string]int, int, int, int) {
+// by both lanes; returns (endpoints, outcomes, hit ratio, coalesce
+// ratio).
+func tally(samples []sample) (map[string]endpointStats, map[string]int, float64, float64) {
 	endpoints := map[string]endpointStats{}
 	outcomes := map[string]int{}
 	byEndpoint := map[string][]int64{}
-	ok, hit, coalesced := 0, 0, 0
+	ok, coalesced, warmOK, warmHit := 0, 0, 0, 0
 	for _, s := range samples {
 		outcomes[s.outcome]++
 		byEndpoint[s.endpoint] = append(byEndpoint[s.endpoint], s.us)
 		switch s.outcome {
-		case "hit":
-			ok++
-			hit++
-		case "coalesced":
-			ok++
+		case "hit", "coalesced", "executed":
+		default:
+			continue
+		}
+		ok++
+		if s.outcome == "coalesced" {
 			coalesced++
-		case "executed":
-			ok++
+		}
+		if !s.cold {
+			warmOK++
+			if s.outcome == "hit" {
+				warmHit++
+			}
 		}
 	}
 	for ep, lat := range byEndpoint {
@@ -532,7 +628,14 @@ func tally(samples []sample) (map[string]endpointStats, map[string]int, int, int
 			MaxUS:    lat[len(lat)-1],
 		}
 	}
-	return endpoints, outcomes, ok, hit, coalesced
+	var hitRatio, coalesceRatio float64
+	if warmOK > 0 {
+		hitRatio = float64(warmHit) / float64(warmOK)
+	}
+	if ok > 0 {
+		coalesceRatio = float64(coalesced) / float64(ok)
+	}
+	return endpoints, outcomes, hitRatio, coalesceRatio
 }
 
 // build assembles the single-node lane from the recorded samples.
@@ -540,18 +643,16 @@ func (g *gen) build(seed int64, elapsed time.Duration) report {
 	g.rec.mu.Lock()
 	samples := g.rec.samples
 	g.rec.mu.Unlock()
-	endpoints, outcomes, ok, hit, coalesced := tally(samples)
+	endpoints, outcomes, hitRatio, coalesceRatio := tally(samples)
 	rep := report{
-		Schema:     Schema,
-		Seed:       seed,
-		Requests:   len(samples),
-		DurationMS: elapsed.Milliseconds(),
-		Endpoints:  endpoints,
-		Outcomes:   outcomes,
-	}
-	if ok > 0 {
-		rep.HitRatio = float64(hit) / float64(ok)
-		rep.CoalesceRatio = float64(coalesced) / float64(ok)
+		Schema:        Schema,
+		Seed:          seed,
+		Requests:      len(samples),
+		DurationMS:    elapsed.Milliseconds(),
+		Endpoints:     endpoints,
+		Outcomes:      outcomes,
+		HitRatio:      hitRatio,
+		CoalesceRatio: coalesceRatio,
 	}
 	if rep.Requests > 0 {
 		n := float64(rep.Requests)
@@ -567,12 +668,14 @@ func (g *gen) buildFleet() *fleetReport {
 	g.rec.mu.Lock()
 	samples := g.rec.samples
 	g.rec.mu.Unlock()
-	endpoints, outcomes, ok, hit, coalesced := tally(samples)
+	endpoints, outcomes, hitRatio, coalesceRatio := tally(samples)
 	fr := &fleetReport{
-		Nodes:     len(g.clients),
-		Requests:  len(samples),
-		Endpoints: endpoints,
-		Outcomes:  outcomes,
+		Nodes:         len(g.clients),
+		Requests:      len(samples),
+		Endpoints:     endpoints,
+		Outcomes:      outcomes,
+		HitRatio:      hitRatio,
+		CoalesceRatio: coalesceRatio,
 	}
 	forwarded := 0
 	ownersByKey := map[string]map[string]bool{}
@@ -593,10 +696,6 @@ func (g *gen) buildFleet() *fleetReport {
 		if len(set) > 1 {
 			fr.MultiOwnerKeys++
 		}
-	}
-	if ok > 0 {
-		fr.HitRatio = float64(hit) / float64(ok)
-		fr.CoalesceRatio = float64(coalesced) / float64(ok)
 	}
 	if fr.Requests > 0 {
 		fr.ForwardRatio = float64(forwarded) / float64(fr.Requests)
@@ -755,7 +854,7 @@ func runFleetLane(bin, workDir string, n int, seed int64, workers int, closed ti
 	stages := map[string]stageStat{}
 	var counters fleetCounters
 	for _, base := range bases {
-		if err := scrapeStages(base, stages); err != nil {
+		if err := scrapeStages(base, stages, &fr.HitPath); err != nil {
 			return nil, fmt.Errorf("scraping %s/debug/requests: %w", base, err)
 		}
 		if err := scrapeFleetCounters(base, &counters); err != nil {
@@ -858,6 +957,9 @@ func run() int {
 	fmt.Printf("serveload: warmup %s...\n", *warmup)
 	g.closedLoop(2, *warmup, *seed+100)
 	g.rec.setDiscard(false)
+	var hitPath hitPathReport
+	fmt.Printf("serveload: hit probe, %d requests...\n", hitProbeRequests)
+	g.hitProbe(&hitPath)
 
 	fmt.Printf("serveload: closed loop, %d workers for %s...\n", *workers, *closed)
 	g.closedLoop(*workers, *closed, *seed)
@@ -871,12 +973,13 @@ func run() int {
 	}
 	elapsed := time.Since(start)
 
+	rep := g.build(*seed, elapsed)
+	rep.HitPath = hitPath
 	stages := map[string]stageStat{}
-	if err := scrapeStages(base, stages); err != nil {
+	if err := scrapeStages(base, stages, &rep.HitPath); err != nil {
 		fmt.Fprintln(os.Stderr, "serveload: scraping /debug/requests:", err)
 		return harness.ExitFailure
 	}
-	rep := g.build(*seed, elapsed)
 	rep.StagesUS = finishStages(stages)
 
 	if srv != nil {
@@ -910,6 +1013,8 @@ func run() int {
 	}
 	fmt.Printf("  hit=%.2f coalesce=%.2f 429=%.3f 503=%.3f 504=%.3f\n",
 		rep.HitRatio, rep.CoalesceRatio, rep.Rate429, rep.Rate503, rep.Rate504)
+	fmt.Printf("  measure hit p50=%dus (n=%d), hit traces waiting on a batch: %d/%d\n",
+		rep.HitPath.MeasureP50US, rep.HitPath.MeasureHits, rep.HitPath.WaitSpans, rep.HitPath.Traces)
 	if rep.Fleet != nil {
 		fmt.Printf("  fleet(%d): n=%d hit=%.2f forward=%.2f multi_owner=%d\n",
 			rep.Fleet.Nodes, rep.Fleet.Requests, rep.Fleet.HitRatio, rep.Fleet.ForwardRatio, rep.Fleet.MultiOwnerKeys)
@@ -987,6 +1092,18 @@ func verifyArtifact(path string) error {
 		}
 	}
 
+	// Hit fast path: a hit is answered in the handler, so it never
+	// waits on a coalescing window or the queue, and a measure hit
+	// costs well under a millisecond end to end.
+	if hp := rep.HitPath; hp.MeasureHits == 0 || hp.Traces == 0 {
+		fail("hit_path saw %d probe hits and %d hit traces, want both > 0", hp.MeasureHits, hp.Traces)
+	} else if hp.MeasureP50US >= maxHitP50US {
+		fail("hit_path: measure-hit p50 %dus, want < %dus", hp.MeasureP50US, maxHitP50US)
+	}
+	if rep.HitPath.WaitSpans != 0 {
+		fail("hit_path: %d hit traces carry a coalesce_wait or queue_wait span", rep.HitPath.WaitSpans)
+	}
+
 	// Fleet lane gates: exactly-one-owner, the (n-1)/n forward ratio of
 	// uniform arrivals, owner-cache affinity at least as good as the
 	// single node's, and the forward span present in the attribution.
@@ -1018,6 +1135,9 @@ func verifyArtifact(path string) error {
 		}
 		if fr.Counters.Forwarded == 0 {
 			fail("fleet: ownership counters report zero forwards")
+		}
+		if fr.HitPath.Traces == 0 || fr.HitPath.WaitSpans != 0 {
+			fail("fleet: %d of %d hit traces carry a coalesce_wait or queue_wait span", fr.HitPath.WaitSpans, fr.HitPath.Traces)
 		}
 	}
 

@@ -18,6 +18,7 @@ import (
 	"fvcache"
 	"fvcache/api"
 	"fvcache/internal/obs"
+	"fvcache/internal/resultcache"
 )
 
 // decodeEnvelope asserts the body is a complete envelope and returns it.
@@ -234,4 +235,70 @@ func readAll(resp *http.Response) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:n], nil
+}
+
+// TestBatchInfoShapes pins the batch stanza of each execution path.
+// The rows run in order against one cached server: the first computes
+// two configs, so later rows hit them in full, in part, or repeated.
+// A request answered without a batch is a batch of one carrying its
+// own request ID; a request with misses reports its batch and counts
+// only its own hits.
+func TestBatchInfoShapes(t *testing.T) {
+	cache, err := resultcache.Open(resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond, ResultCache: cache})
+
+	const x, y, z = `{"fvc_entries":64}`, `{"main_bytes":8192}`, `{"assoc":2}`
+	cases := []struct {
+		name    string
+		configs string
+		want    api.BatchInfo
+		ownID   bool     // trace_id is the request's own ID
+		keys    []string // JSON keys the stanza must carry
+	}{
+		{"miss", x + "," + y, api.BatchInfo{Requests: 1, Configs: 2}, false,
+			[]string{"requests", "configs", "coalesced", "trace_id"}},
+		{"full hit", x + "," + y, api.BatchInfo{Requests: 1, Configs: 2, CacheHits: 2}, true,
+			[]string{"requests", "configs", "coalesced", "cache_hits", "trace_id"}},
+		{"repeated full hit", x + "," + x, api.BatchInfo{Requests: 1, Configs: 2, CacheHits: 2}, true,
+			[]string{"requests", "configs", "coalesced", "cache_hits", "trace_id"}},
+		{"partial hit", z + "," + x, api.BatchInfo{Requests: 1, Configs: 1, CacheHits: 1}, false,
+			[]string{"requests", "configs", "coalesced", "cache_hits", "trace_id"}},
+	}
+	for _, tc := range cases {
+		body := fmt.Sprintf(`{"workload":"goboard","configs":[%s]}`, tc.configs)
+		resp, data := postJSON(t, ts.URL+"/v1/measure", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, data)
+		}
+		var raw struct {
+			Batch map[string]json.RawMessage `json:"batch"`
+		}
+		var out api.MeasureResponse
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := out.Batch
+		id := resp.Header.Get(api.HeaderRequestID)
+		if (got.TraceID == id) != tc.ownID && obs.Enabled {
+			t.Errorf("%s: trace_id %q vs request ID %q, want own=%v", tc.name, got.TraceID, id, tc.ownID)
+		}
+		got.TraceID = ""
+		if got != tc.want {
+			t.Errorf("%s: batch %+v, want %+v", tc.name, got, tc.want)
+		}
+		for _, k := range tc.keys {
+			if k == "trace_id" && !obs.Enabled && tc.ownID {
+				continue // no request IDs are minted under obsoff
+			}
+			if _, ok := raw.Batch[k]; !ok {
+				t.Errorf("%s: batch stanza lacks %q: %s", tc.name, k, data)
+			}
+		}
+	}
 }

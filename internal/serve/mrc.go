@@ -3,12 +3,13 @@ package serve
 // POST /v1/mrc: miss-rate curves from one Mattson reuse-distance pass.
 //
 // The endpoint mirrors /v1/measure's serving discipline at analytic
-// cost: identical concurrent requests are coalesced (singleflight on
-// the normalized request key — the first request executes, late
-// arrivals wait on the same flight), results are served from and
-// offered to the durable result cache, the per-(workload, scale)
-// circuit breaker and per-request deadlines apply, and the response
-// streams one NDJSON line per curve point followed by a summary line.
+// cost: the handler answers durable-cache hits itself, identical
+// concurrent misses are coalesced (singleflight on the normalized
+// request key — the first request executes, late arrivals wait on the
+// same flight), fresh curves are offered back to the cache, the
+// per-(workload, scale) circuit breaker and per-request deadlines apply
+// to misses, and the response streams one NDJSON line per curve point
+// followed by a summary line.
 //
 // Cache encoding: resultcache stores []fvcache.MeasureResult, so a
 // curve is framed into that shape losslessly — entry 0 is a header
@@ -53,8 +54,8 @@ type (
 )
 
 // mrcFlight is one in-flight analysis shared by every identical
-// concurrent request (singleflight: no coalescing window — the pass is
-// fast enough that the first request executes immediately and late
+// concurrent cache miss (singleflight: no coalescing window — the pass
+// is fast enough that the first request executes immediately and late
 // arrivals join it mid-run).
 type mrcFlight struct {
 	done     chan struct{}
@@ -63,14 +64,12 @@ type mrcFlight struct {
 	id string
 
 	// Stage timestamps (zero when the stage never ran).
-	started   time.Time
-	probeDone time.Time // durable-cache probe finished
-	passDone  time.Time // analysis pass finished
+	started  time.Time
+	passDone time.Time // analysis pass finished
 
-	res      *fvcache.MRCResult
-	cacheHit bool
-	status   int
-	err      error
+	res    *fvcache.MRCResult
+	status int
+	err    error
 }
 
 // mrcCacheKey derives the durable-cache key from a normalized request.
@@ -146,10 +145,10 @@ func decodeMRC(rs []fvcache.MeasureResult, req fvcache.MRCRequest) (*fvcache.MRC
 	return res, true
 }
 
-// runMRCFlight executes one flight: durable cache first, then the
-// analysis pass via the (stub-able) execMRC hook, offering fresh
-// curves back to the cache. Runs under the server's base context so
-// one impatient client cannot cancel its seat-mates.
+// runMRCFlight executes one flight: the analysis pass via the
+// (stub-able) execMRC hook, offering fresh curves to the durable cache.
+// Runs under the server's base context so one impatient client cannot
+// cancel its seat-mates.
 func (s *Server) runMRCFlight(f *mrcFlight, key string, req fvcache.MRCRequest) {
 	defer func() {
 		s.mrcMu.Lock()
@@ -166,20 +165,6 @@ func (s *Server) runMRCFlight(f *mrcFlight, key string, req fvcache.MRCRequest) 
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.opt.RequestTimeout)
 	defer cancel()
-
-	cache := s.cache.Load()
-	ck := mrcCacheKey(req)
-	if cache != nil {
-		if rs, ok := cache.Get(ck); ok {
-			if res, ok := decodeMRC(rs, req); ok {
-				mrcCacheHits.Inc()
-				f.probeDone = time.Now()
-				f.res, f.cacheHit = res, true
-				return
-			}
-		}
-	}
-	f.probeDone = time.Now()
 
 	err := harness.Recover(func() error {
 		var execErr error
@@ -200,15 +185,15 @@ func (s *Server) runMRCFlight(f *mrcFlight, key string, req fvcache.MRCRequest) 
 		obs.Log.Warn("mrc flight failed", "workload", req.Workload, "err", err.Error())
 		return
 	}
-	if cache != nil {
-		cache.Put(ck, encodeMRC(f.res))
+	if cache := s.cache.Load(); cache != nil {
+		cache.Put(mrcCacheKey(req), encodeMRC(f.res))
 	}
 }
 
 // execMRCPass is the default execMRC hook: one sharded Mattson pass
 // through the public facade.
 func (s *Server) execMRCPass(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error) {
-	req.Shards = s.opt.ReplayParallelism
+	req.Shards = s.opt.Workers
 	return fvcache.MissRateCurves(ctx, req)
 }
 
@@ -262,6 +247,7 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 		t.fail(http.StatusBadRequest, err)
 		return
 	}
+	ck := mrcCacheKey(mreq)
 	t.tr.End(parse)
 	observeStage(stageParseUS, start, time.Now())
 
@@ -273,7 +259,7 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 			s.nReceived.Add(1)
 			fleetReceivedFwd.Inc()
 		} else {
-			key := ownershipKey(mreq.Workload, scale, mrcCacheKey(mreq).ConfigFP, "")
+			key := ownershipKey(mreq.Workload, scale, ck.ConfigFP, "")
 			switch p := s.fleet.Owner(key); {
 			case p.Self():
 				s.nOwned.Add(1)
@@ -290,6 +276,14 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A cached curve set is answered here, before the breaker and the
+	// singleflight table: a hit spawns no flight.
+	if res := s.probeMRC(t, ck, mreq); res != nil {
+		mrcCacheHits.Inc()
+		s.writeMRC(t, w, mreq, res, mrcSummaryWire{Requests: 1, CacheHit: true, TraceID: t.tr.ID()}, "hit")
+		return
+	}
+
 	brkKey := mreq.Workload + "|" + scale.String()
 	if ok, retryAfter := s.brk.allow(brkKey); !ok {
 		breakerOpenTotal.Inc()
@@ -303,7 +297,7 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 	// the pass, identical concurrent requests wait on the same flight.
 	wait := t.tr.Begin("flight_wait", -1)
 	joined := false
-	key := fmt.Sprintf("%s|%s|%s", mreq.Workload, scale, mrcCacheKey(mreq).ConfigFP)
+	key := fmt.Sprintf("%s|%s|%s", mreq.Workload, scale, ck.ConfigFP)
 	s.mrcMu.Lock()
 	f := s.mrcFlights[key]
 	if f == nil {
@@ -328,8 +322,7 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case <-f.done:
-		t.tr.Add("cache_probe", wait, f.started, f.probeDone)
-		t.tr.Add("analyze", wait, f.probeDone, f.passDone)
+		t.tr.Add("analyze", wait, f.started, f.passDone)
 		t.tr.End(wait)
 	case <-deadlineCh:
 		// This request's own deadline fired; the flight keeps running
@@ -356,13 +349,50 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Stream: one NDJSON line per point, then the summary.
+	// requests is racy against late joiners only until done closes; by
+	// now the flight is removed from the map, so the count is final.
+	class := "executed"
+	if joined {
+		class = "coalesced"
+	}
+	s.writeMRC(t, w, mreq, f.res, mrcSummaryWire{
+		Requests: f.requests, Coalesced: f.requests > 1, TraceID: f.id,
+	}, class)
+}
+
+// probeMRC returns the curve set the durable cache holds under ck for a
+// normalized request, or nil on a miss (or without a cache).
+func (s *Server) probeMRC(t *reqTrack, ck resultcache.Key, req fvcache.MRCRequest) *fvcache.MRCResult {
+	cache := s.cache.Load()
+	if cache == nil {
+		return nil
+	}
+	start := time.Now()
+	span := t.tr.Begin("cache_probe", -1)
+	defer func() {
+		t.tr.End(span)
+		observeStage(stageCacheUS, start, time.Now())
+	}()
+	rs, ok := cache.Get(ck)
+	if !ok {
+		return nil
+	}
+	res, ok := decodeMRC(rs, req)
+	if !ok {
+		return nil
+	}
+	return res
+}
+
+// writeMRC streams a curve set — one NDJSON line per point, then the
+// summary, whose execution fields (requests, coalesced, cache_hit,
+// trace_id) the caller fills in — and seals the trace under class.
+func (s *Server) writeMRC(t *reqTrack, w http.ResponseWriter, req fvcache.MRCRequest, res *fvcache.MRCResult, sum mrcSummaryWire, class string) {
 	encodeStart := time.Now()
 	encode := t.tr.Begin("encode", -1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	res := f.res
 	points := 0
 	for _, c := range res.Curves {
 		for _, p := range c.Points {
@@ -374,33 +404,19 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// requests is racy against late joiners only until done closes; by
-	// now the flight is removed from the map, so the count is final.
-	enc.Encode(api.MRCLine{Summary: &mrcSummaryWire{
-		Workload:      mreq.Workload,
-		Scale:         scale.String(),
-		LineBytes:     res.LineBytes,
-		Accesses:      res.Accesses,
-		Loads:         res.Loads,
-		Stores:        res.Stores,
-		DistinctLines: res.DistinctLines,
-		Curves:        len(res.Curves),
-		Points:        points,
-		Requests:      f.requests,
-		Coalesced:     f.requests > 1,
-		CacheHit:      f.cacheHit,
-		TraceID:       f.id,
-		Node:          s.nodeURL(),
-	}})
+	sum.Workload = req.Workload
+	sum.Scale = req.Scale.String()
+	sum.LineBytes = res.LineBytes
+	sum.Accesses = res.Accesses
+	sum.Loads = res.Loads
+	sum.Stores = res.Stores
+	sum.DistinctLines = res.DistinctLines
+	sum.Curves = len(res.Curves)
+	sum.Points = points
+	sum.Node = s.nodeURL()
+	enc.Encode(api.MRCLine{Summary: &sum})
 	t.tr.End(encode)
 	observeStage(stageEncodeUS, encodeStart, time.Now())
-	class := "executed"
-	switch {
-	case f.cacheHit:
-		class = "hit"
-	case joined:
-		class = "coalesced"
-	}
 	t.finish(http.StatusOK, class)
 }
 

@@ -2,11 +2,15 @@
 // end that accepts measurement and sweep requests from many concurrent
 // clients and coalesces them into the fused batch replay engine.
 //
-// Requests for the same (workload, scale, options) arriving within a
-// short window are merged into ONE sim.MeasureRecordedBatch execution:
-// their configurations are deduplicated into a single fused SystemSet
-// replay over the shared recording cache, and each client receives its
-// own slice of the results. A bounded worker pool executes batches;
+// Each request first probes the durable result cache in its own
+// handler: configurations the cache answers never wait, and a request
+// the cache answers in full is encoded straight back without touching
+// the batching machinery. Only the misses of requests for the same
+// (workload, scale, options) arriving within a short window are merged
+// into ONE sim.MeasureRecordedBatch execution: their configurations
+// are deduplicated into a single fused SystemSet replay over the
+// shared recording cache, and each client receives its own slice of
+// the results. A bounded worker pool executes batches;
 // when the batch queue overflows, new requests are rejected with 429
 // (backpressure) instead of piling up. Shutdown drains: in-flight
 // requests complete, open coalescing windows flush, and only then do
@@ -15,8 +19,8 @@
 // The serving path is fault-hardened (see DESIGN.md, "Durability &
 // degradation model"):
 //
-//   - A durable result cache (internal/resultcache) in front of the
-//     replay engine makes repeat traffic O(1) and survives restarts.
+//   - A durable result cache (internal/resultcache), probed before
+//     coalescing, makes repeat traffic O(1) and survives restarts.
 //   - Per-request deadlines (?deadline_ms= or the body's deadline_ms)
 //     propagate into the batch context and cancel replays at chunk
 //     boundaries; an expired request gets 504.
@@ -86,12 +90,6 @@ type Options struct {
 	MaxBatchConfigs int
 	// MaxSweeps bounds concurrent /v1/sweep executions (<=0 means 2).
 	MaxSweeps int
-	// ReplayParallelism is the chunk-parallel replay width applied to
-	// batch executions whose request options don't set one (<=0 means
-	// Workers). Parallelism never changes results, so it participates
-	// in neither coalescing keys nor result-cache keys.
-	ReplayParallelism int
-
 	// DefaultDeadline is the per-request deadline applied when a
 	// request carries none of its own (<=0 means no default; the batch
 	// is still bounded by RequestTimeout).
@@ -104,7 +102,8 @@ type Options struct {
 	// traffic before admitting a probe (<=0 means 5s).
 	BreakerCooldown time.Duration
 	// ResultCache, when non-nil, serves repeat measurements without
-	// re-simulating. It can also be attached after New with
+	// re-simulating: handlers probe it before coalescing, so a hit
+	// never waits for a batch. It can also be attached after New with
 	// SetResultCache (fvcached opens it during the boot recovery scan,
 	// while the listener is already up but /readyz reports 503).
 	ResultCache *resultcache.Cache
@@ -126,9 +125,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ReplayParallelism <= 0 {
-		o.ReplayParallelism = o.Workers
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
@@ -171,9 +167,9 @@ type callResult struct {
 	err    error
 }
 
-// batch is one coalescing unit: every request sharing (workload,
-// scale, options) that arrived within the window, with their
-// configurations deduplicated by fingerprint.
+// batch is one coalescing unit: the cache misses of every request
+// sharing (workload, scale, options) that arrived within the window,
+// with their configurations deduplicated by fingerprint.
 type batch struct {
 	key      string
 	workload string
@@ -195,8 +191,7 @@ type batch struct {
 	created    time.Time // batch opened (coalescing window armed)
 	dispatched time.Time // window closed, handed to the queue
 	execStart  time.Time // worker picked it up
-	cacheDone  time.Time // result-cache probe finished
-	replayDone time.Time // replay (or cache-only serve) finished
+	replayDone time.Time // replay finished
 
 	// deadline is the latest member deadline; the batch context must
 	// outlive every coalesced request. unbounded is set when any member
@@ -204,12 +199,6 @@ type batch struct {
 	// RequestTimeout only).
 	deadline  time.Time
 	unbounded bool
-
-	// cacheHits is filled by the executor: how many configs the result
-	// cache answered; diskHits is the subset faulted in from the disk
-	// tier.
-	cacheHits int
-	diskHits  int
 }
 
 // failAll delivers an error to every coalesced request of the batch.
@@ -263,6 +252,10 @@ type Server struct {
 	nBatches   atomic.Uint64
 	nCoalesced atomic.Uint64
 	nRejected  atomic.Uint64
+
+	// busy counts workers inside runBatch; the rest of the pool is idle
+	// and lends its cores to the next batch's replay (see replayWidth).
+	busy atomic.Int32
 }
 
 // New builds a Server and starts its worker pool. Callers must
@@ -520,7 +513,9 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for b := range s.queue {
 		queueDepth.Set(float64(len(s.queue)))
+		s.busy.Add(1)
 		s.runBatch(b)
+		s.busy.Add(-1)
 	}
 }
 
@@ -552,8 +547,7 @@ func (s *Server) runBatch(b *batch) {
 		ctx, dcancel = context.WithDeadline(ctx, b.deadline)
 		defer dcancel()
 	}
-	// Layers below the executor (profile resolution, cache probes)
-	// attach their spans to the batch trace through the context.
+	// Layers below the executor (profile resolution) attach their spans to the batch trace through the context.
 	ctx = reqtrace.NewContext(ctx, bt)
 
 	// harness.Recover contains executor panics (a poisoned workload or
@@ -569,12 +563,7 @@ func (s *Server) runBatch(b *batch) {
 	observeBatchStages(b)
 	bt.Add("coalesce_wait", -1, b.created, b.dispatched)
 	bt.Add("queue_wait", -1, b.dispatched, b.execStart)
-	bt.Add("cache_probe", -1, b.execStart, b.cacheDone)
-	if !b.cacheDone.IsZero() {
-		bt.Add("replay", -1, b.cacheDone, b.replayDone)
-	} else {
-		bt.Add("replay", -1, b.execStart, b.replayDone)
-	}
+	bt.Add("replay", -1, b.execStart, b.replayDone)
 	s.brk.report(b.workload+"|"+b.scale.String(), err == nil || errors.Is(err, context.Canceled))
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -593,19 +582,13 @@ func (s *Server) runBatch(b *batch) {
 		return
 	}
 	info := batchInfoWire{
-		Requests:      len(b.subs),
-		Configs:       len(b.configs),
-		Coalesced:     len(b.subs) > 1,
-		CacheHits:     b.cacheHits,
-		CacheDiskHits: b.diskHits,
-		TraceID:       b.id,
-		Node:          s.nodeURL(),
+		Requests:  len(b.subs),
+		Configs:   len(b.configs),
+		Coalesced: len(b.subs) > 1,
+		TraceID:   b.id,
+		Node:      s.nodeURL(),
 	}
-	class := "executed"
-	if b.cacheHits == len(b.configs) && len(b.configs) > 0 {
-		class = "hit"
-	}
-	bt.SetOutcome(http.StatusOK, class)
+	bt.SetOutcome(http.StatusOK, "executed")
 	s.rec.Finish(bt)
 	for _, c := range b.subs {
 		rs := make([]fvcache.MeasureResult, len(c.idx))
@@ -617,49 +600,16 @@ func (s *Server) runBatch(b *batch) {
 	obs.Log.Debug("batch served", "workload", b.workload, "requests", len(b.subs), "configs", len(b.configs))
 }
 
-// execBatch serves the batch's configurations from the durable result
-// cache where possible, then materializes the remainder (resolving
-// profile-derived FVTs from the shared profile cache) and drives one
-// fused replay for them. Fresh results are offered back to the cache;
-// its admission policy decides what becomes durable.
+// execBatch materializes the batch's configurations (resolving
+// profile-derived FVTs from the shared profile cache), drives one fused
+// replay for all of them, and offers the fresh results to the durable
+// cache, whose admission policy decides what becomes durable. The
+// handlers already answered every config the cache held, so a config
+// only lands here on a miss.
 func (s *Server) execBatch(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
-	cache := s.cache.Load()
-	results := make([]fvcache.MeasureResult, len(b.configs))
-	missing := make([]int, 0, len(b.configs))
-	var keys []resultcache.Key
-	if cache != nil {
-		keys = make([]resultcache.Key, len(b.configs))
-		for i, cw := range b.configs {
-			keys[i] = resultcache.Key{
-				Workload: b.workload,
-				Scale:    b.scale.String(),
-				ConfigFP: cw.Fingerprint() + "|opts:" + b.optsFP,
-				Engine:   fvcache.EngineVersion,
-			}
-			if rs, tier := cache.GetTier(keys[i]); tier != resultcache.TierNone && len(rs) == 1 {
-				results[i] = rs[0]
-				if tier == resultcache.TierDisk {
-					b.diskHits++
-				}
-				continue
-			}
-			missing = append(missing, i)
-		}
-	} else {
-		for i := range b.configs {
-			missing = append(missing, i)
-		}
-	}
-	b.cacheDone = time.Now()
-	b.cacheHits = len(b.configs) - len(missing)
-	if len(missing) == 0 {
-		return results, nil
-	}
-
 	tr := reqtrace.FromContext(ctx)
-	cfgs := make([]fvcache.Config, len(missing))
-	for j, i := range missing {
-		cw := b.configs[i]
+	cfgs := make([]fvcache.Config, len(b.configs))
+	for i, cw := range b.configs {
 		var values []uint32
 		if cw.NeedsProfile() {
 			pspan := tr.Begin("profile", -1)
@@ -672,25 +622,87 @@ func (s *Server) execBatch(ctx context.Context, b *batch) ([]fvcache.MeasureResu
 				return nil, err
 			}
 		}
-		cfgs[j] = cw.Materialize(values)
+		cfgs[i] = cw.Materialize(values)
 	}
 	opts := b.opts
 	if opts.Parallelism == 0 {
-		opts.Parallelism = s.opt.ReplayParallelism
+		opts.Parallelism = s.replayWidth()
 	}
-	fresh, err := fvcache.MeasureBatch(ctx, fvcache.MeasureBatchRequest{
+	results, err := fvcache.MeasureBatch(ctx, fvcache.MeasureBatchRequest{
 		Workload: b.workload, Scale: b.scale, Configs: cfgs, Options: opts,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for j, i := range missing {
-		results[i] = fresh[j]
-		if cache != nil {
-			cache.Put(keys[i], []fvcache.MeasureResult{fresh[j]})
+	if cache := s.cache.Load(); cache != nil {
+		for i, cw := range b.configs {
+			cache.Put(measureKey(b.workload, b.scale, cw.Fingerprint(), b.optsFP),
+				[]fvcache.MeasureResult{results[i]})
 		}
 	}
 	return results, nil
+}
+
+// replayWidth sizes one batch's chunk-parallel replay: the calling
+// worker plus every worker idle right now. A lone batch on an idle
+// pool gets the whole machine; batches running side by side share it
+// instead of each spawning a pool-wide replay. Parallelism never
+// changes results, so it participates in neither coalescing keys nor
+// result-cache keys.
+func (s *Server) replayWidth() int {
+	return max(1, 1+s.opt.Workers-int(s.busy.Load()))
+}
+
+// measureKey is the durable-cache key of one normalized configuration
+// under a request's canonical options.
+func measureKey(workload string, scale fvcache.Scale, cfgFP, optsFP string) resultcache.Key {
+	return resultcache.Key{
+		Workload: workload,
+		Scale:    scale.String(),
+		ConfigFP: cfgFP + "|opts:" + optsFP,
+		Engine:   fvcache.EngineVersion,
+	}
+}
+
+// cacheProbe is one request's durable-cache lookup: the cached result
+// of every config the cache held, and the request positions it did
+// not.
+type cacheProbe struct {
+	results  []fvcache.MeasureResult // by request position; zero where missed
+	missing  []int                   // request positions to execute
+	hits     int
+	diskHits int // subset of hits faulted in from the disk tier
+}
+
+// probeCache looks every config of a request up in the durable result
+// cache. Without a cache every config misses and no span is recorded.
+func (s *Server) probeCache(t *reqTrack, workload string, scale fvcache.Scale, optsFP string, cfgs []ConfigWire) cacheProbe {
+	p := cacheProbe{results: make([]fvcache.MeasureResult, len(cfgs))}
+	cache := s.cache.Load()
+	if cache == nil {
+		p.missing = make([]int, len(cfgs))
+		for i := range p.missing {
+			p.missing[i] = i
+		}
+		return p
+	}
+	start := time.Now()
+	span := t.tr.Begin("cache_probe", -1)
+	for i, cw := range cfgs {
+		rs, tier := cache.GetTier(measureKey(workload, scale, cw.Fingerprint(), optsFP))
+		if tier == resultcache.TierNone || len(rs) != 1 {
+			p.missing = append(p.missing, i)
+			continue
+		}
+		p.results[i] = rs[0]
+		p.hits++
+		if tier == resultcache.TierDisk {
+			p.diskHits++
+		}
+	}
+	t.tr.End(span)
+	observeStage(stageCacheUS, start, time.Now())
+	return p
 }
 
 // maxBodyBytes bounds request bodies; a measurement request is a few
@@ -771,8 +783,25 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		// than failing the request (the result just isn't owner-cached).
 	}
 
-	// Keys whose executor keeps failing are shed here, before they can
-	// occupy a batch seat; healthy keys are unaffected.
+	// Cache hits never wait: every config the durable cache holds is
+	// answered here, and a request it answers in full is encoded
+	// straight back — no batch, timer, queue slot or breaker check.
+	p := s.probeCache(t, req.Workload, scale, optsFP, cfgs)
+	if len(p.missing) == 0 {
+		s.writeMeasure(t, w, req.Workload, scale, p.results, batchInfoWire{
+			Requests:      1,
+			Configs:       len(cfgs),
+			CacheHits:     p.hits,
+			CacheDiskHits: p.diskHits,
+			TraceID:       t.tr.ID(),
+			Node:          s.nodeURL(),
+		}, "hit")
+		return
+	}
+
+	// Keys whose executor keeps failing are shed here, before their
+	// misses can occupy a batch seat; hits above and healthy keys are
+	// unaffected.
 	brkKey := req.Workload + "|" + scale.String()
 	if ok, retryAfter := s.brk.allow(brkKey); !ok {
 		breakerOpenTotal.Inc()
@@ -782,8 +811,12 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	misses := make([]ConfigWire, len(p.missing))
+	for j, i := range p.missing {
+		misses[j] = cfgs[i]
+	}
 	wait := t.tr.Begin("batch_wait", -1)
-	c, err := s.submit(req.Workload, scale, req.Options, optsFP, cfgs, deadline)
+	c, err := s.submit(req.Workload, scale, req.Options, optsFP, misses, deadline)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, errDraining) {
@@ -811,28 +844,18 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			t.fail(res.status, res.err)
 			return
 		}
-		encodeStart := time.Now()
-		encode := t.tr.Begin("encode", -1)
-		out := measureRespWire{
-			Workload: req.Workload,
-			Scale:    scale.String(),
-			Results:  make([]resultWire, len(res.results)),
-			Batch:    res.info,
+		// Splice the executed misses back between the cached hits, in
+		// request order.
+		for j, i := range p.missing {
+			p.results[i] = res.results[j]
 		}
-		for i, mr := range res.results {
-			out.Results[i] = toResultWire(mr)
-		}
-		writeJSON(w, http.StatusOK, out)
-		t.tr.End(encode)
-		observeStage(stageEncodeUS, encodeStart, time.Now())
+		info := res.info
+		info.CacheHits, info.CacheDiskHits = p.hits, p.diskHits
 		class := "executed"
-		switch {
-		case res.info.CacheHits == res.info.Configs && res.info.Configs > 0:
-			class = "hit"
-		case res.info.Coalesced:
+		if info.Coalesced {
 			class = "coalesced"
 		}
-		t.finish(http.StatusOK, class)
+		s.writeMeasure(t, w, req.Workload, scale, p.results, info, class)
 	case <-deadlineCh:
 		// This request's own deadline fired first. The batch keeps
 		// running for its seat-mates (its context outlives us); the
@@ -847,6 +870,26 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		t.tr.End(wait)
 		t.fail(http.StatusServiceUnavailable, r.Context().Err())
 	}
+}
+
+// writeMeasure encodes a successful /v1/measure response and seals the
+// request's trace under class.
+func (s *Server) writeMeasure(t *reqTrack, w http.ResponseWriter, workload string, scale fvcache.Scale, results []fvcache.MeasureResult, info batchInfoWire, class string) {
+	encodeStart := time.Now()
+	encode := t.tr.Begin("encode", -1)
+	out := measureRespWire{
+		Workload: workload,
+		Scale:    scale.String(),
+		Results:  make([]resultWire, len(results)),
+		Batch:    info,
+	}
+	for i, mr := range results {
+		out.Results[i] = toResultWire(mr)
+	}
+	writeJSON(w, http.StatusOK, out)
+	t.tr.End(encode)
+	observeStage(stageEncodeUS, encodeStart, time.Now())
+	t.finish(http.StatusOK, class)
 }
 
 // requestDeadline resolves a request's absolute deadline from the

@@ -22,9 +22,10 @@ import (
 // enough to act on, cheap enough to keep always-on.
 const latencySigFigs = 2
 
-// Serving stages whose per-batch durations feed the
-// serve_stage_us{stage=...} quantile series (the per-stage time
-// attribution BENCH_serve.json reports).
+// Serving stages whose durations feed the serve_stage_us{stage=...}
+// quantile series (the per-stage time attribution BENCH_serve.json
+// reports): parse, cache_probe and encode once per request; the
+// coalescing window, queue wait and replay once per batch.
 var (
 	stageParseUS    = stageSeries("parse")
 	stageCoalesceUS = stageSeries("coalesce_wait")
@@ -118,10 +119,13 @@ func (t *reqTrack) finish(status int, class string) {
 		}
 		h.Observe(uint64(elapsed.Microseconds()))
 	}
+	// Read the ID before Finish hands the pooled trace back: a worker
+	// may reuse it for the next batch the moment it is released.
+	id := t.tr.ID()
 	t.tr.SetOutcome(status, outcome)
 	t.s.rec.Finish(t.tr)
 	obs.Log.Debug("request",
-		"id", t.tr.ID(), "endpoint", t.endpoint, "status", fmt.Sprint(status),
+		"id", id, "endpoint", t.endpoint, "status", fmt.Sprint(status),
 		"outcome", outcome, "us", fmt.Sprint(elapsed.Microseconds()))
 }
 
@@ -142,16 +146,15 @@ func (t *reqTrack) failFull(status int, err error, retryable bool, reason string
 
 // attachBatchSpans adds the executed batch's stage timeline under
 // parent: how long the coalescing window stayed open, the queue wait,
-// the result-cache probe, and the replay. Stages a stubbed executor
-// never stamped are skipped by Add.
+// and the replay. Stages a stubbed executor never stamped are skipped
+// by Add.
 func (t *reqTrack) attachBatchSpans(parent int, b *batch) {
 	if b == nil {
 		return
 	}
 	t.tr.Add("coalesce_wait", parent, b.created, b.dispatched)
 	t.tr.Add("queue_wait", parent, b.dispatched, b.execStart)
-	t.tr.Add("cache_probe", parent, b.execStart, b.cacheDone)
-	t.tr.Add("replay", parent, b.cacheDone, b.replayDone)
+	t.tr.Add("replay", parent, b.execStart, b.replayDone)
 }
 
 // observeBatchStages feeds the batch's stage durations into the
@@ -163,8 +166,7 @@ func observeBatchStages(b *batch) {
 	}
 	observeStage(stageCoalesceUS, b.created, b.dispatched)
 	observeStage(stageQueueUS, b.dispatched, b.execStart)
-	observeStage(stageCacheUS, b.execStart, b.cacheDone)
-	observeStage(stageReplayUS, b.cacheDone, b.replayDone)
+	observeStage(stageReplayUS, b.execStart, b.replayDone)
 }
 
 func observeStage(h *obs.QuantileHist, start, end time.Time) {

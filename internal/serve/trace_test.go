@@ -16,6 +16,7 @@ import (
 
 	"fvcache"
 	"fvcache/internal/obs"
+	"fvcache/internal/resultcache"
 )
 
 // debugRequests fetches and decodes /debug/requests.
@@ -36,15 +37,20 @@ func debugRequests(t *testing.T, base, query string) []obs.RequestTrace {
 	return out.Traces
 }
 
-// TestRequestTraceEndToEnd serves one measurement and checks the
-// acceptance contract: the response carries a trace ID, /debug/requests
-// returns a well-formed span tree for it, and the root-level stage
-// durations sum (within slop) to the reported end-to-end latency.
+// TestRequestTraceEndToEnd serves one cache-missing measurement and
+// checks the acceptance contract: the response carries a trace ID,
+// /debug/requests returns a well-formed span tree for it, and the
+// root-level stage durations sum (within slop) to the reported
+// end-to-end latency.
 func TestRequestTraceEndToEnd(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: 5 * time.Millisecond})
+	cache, err := resultcache.Open(resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestService(t, Options{CoalesceWindow: 5 * time.Millisecond, ResultCache: cache})
 
 	resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard","scale":"test"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -102,7 +108,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 			rootSum += sp.DurationUS
 		}
 	}
-	for _, want := range []string{"parse", "batch_wait", "encode"} {
+	for _, want := range []string{"parse", "cache_probe", "batch_wait", "encode"} {
 		if !names[want] {
 			t.Errorf("span %q missing from trace: %+v", want, mine.Spans)
 		}
@@ -115,16 +121,20 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		t.Errorf("root spans sum to %dus but request took %dus", rootSum, mine.DurationUS)
 	}
 
-	// The batch trace carries the pipeline stages.
+	// The batch trace carries the pipeline stages. The cache probe is
+	// the request's own stage, not the batch's: only misses get here.
 	if batchTrace != nil {
 		bNames := map[string]bool{}
 		for _, sp := range batchTrace.Spans {
 			bNames[sp.Name] = true
 		}
-		for _, want := range []string{"coalesce_wait", "queue_wait", "cache_probe", "replay"} {
+		for _, want := range []string{"coalesce_wait", "queue_wait", "replay"} {
 			if !bNames[want] {
 				t.Errorf("batch trace missing span %q: %+v", want, batchTrace.Spans)
 			}
+		}
+		if bNames["cache_probe"] {
+			t.Errorf("batch trace still probes the cache: %+v", batchTrace.Spans)
 		}
 	}
 }
