@@ -202,15 +202,6 @@ func Measure(ctx context.Context, req MeasureRequest) (MeasureResult, error) {
 	if err != nil {
 		return MeasureResult{}, err
 	}
-	if req.Options.Parallelism > 0 {
-		// The chunk-parallel engine lives behind the batch entry point;
-		// a single configuration is a batch of one.
-		out, err := sim.MeasureRecordedBatch(rec, []core.Config{req.Config}, req.Options.simOptions(ctx, ""))
-		if err != nil {
-			return MeasureResult{}, err
-		}
-		return out[0], nil
-	}
 	return sim.MeasureRecorded(rec, req.Config, req.Options.simOptions(ctx, ""))
 }
 

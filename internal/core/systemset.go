@@ -25,11 +25,18 @@ import (
 // replica at every event boundary, so per-member Stats are
 // bit-identical to the per-config replay path.
 //
+// A set with exactly one member is that member's own System: the
+// member owns the memory image and replays through System.ReplayColumns,
+// whose specialized direct-mapped loop beats the fused probe filter
+// when there is nothing to fuse. The measurement driver runs every
+// single-configuration measurement as such a batch of one.
+//
 // A SystemSet is driven from a single goroutine (its members and the
 // shared image are not internally synchronized); concurrent sweeps
 // each build their own set over the same immutable recording.
 type SystemSet struct {
 	systems []*System
+	solo    *System   // the only member of a one-config set; owns mem
 	groups  []dmGroup // direct-mapped members, grouped by geometry
 	slow    []*System // members outside the fused probe shape
 	mem     *memsim.Memory
@@ -68,6 +75,13 @@ type groupMember struct {
 // NewSet builds one System per configuration, all sharing a single
 // architectural memory image.
 func NewSet(cfgs []Config) (*SystemSet, error) {
+	if len(cfgs) == 1 {
+		s, err := New(cfgs[0])
+		if err != nil {
+			return nil, err
+		}
+		return &SystemSet{systems: []*System{s}, solo: s, mem: s.mem}, nil
+	}
 	ss := &SystemSet{mem: memsim.NewMemory()}
 	for _, cfg := range cfgs {
 		s, err := newSystem(cfg, ss.mem)
@@ -132,7 +146,7 @@ func (ss *SystemSet) Access(op trace.Op, addr, value uint32) {
 	for _, s := range ss.systems {
 		s.Access(op, addr, value)
 	}
-	if op == trace.Store {
+	if op == trace.Store && ss.solo == nil {
 		ss.mem.StoreWord(addr, value)
 	}
 }
@@ -226,6 +240,14 @@ func (g *dmGroup) missAt(j int, idx uint32, store bool, addr, value uint32) {
 func (ss *SystemSet) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 	if len(addrs) != len(ops) || len(values) != len(ops) {
 		panic("core: ReplayColumns column length mismatch")
+	}
+	if ss.solo != nil {
+		ss.solo.ReplayColumns(ops, addrs, values)
+		if obs.Enabled {
+			obs.BatchChunks.Inc()
+			obs.BatchEvents.Add(uint64(len(ops)))
+		}
+		return
 	}
 	groups := ss.groups
 	for gi := range groups {

@@ -78,6 +78,33 @@ func TestSystemSetParity(t *testing.T) {
 	}
 }
 
+// TestSystemSetSingleMemberParity checks the one-member set, which
+// replays through its member's own System loop: for every lane shape,
+// column replay and per-event Access must match a plain System, and
+// the member must own the set's memory.
+func TestSystemSetSingleMemberParity(t *testing.T) {
+	ops, addrs, vals := synthColumns(50_000)
+	for i, cfg := range setConfigs() {
+		solo := MustNew(cfg)
+		solo.ReplayColumns(ops, addrs, vals)
+
+		fused := MustNewSet([]Config{cfg})
+		fused.ReplayColumns(ops, addrs, vals)
+		stepped := MustNewSet([]Config{cfg})
+		for j, op := range ops {
+			stepped.Access(op, addrs[j], vals[j])
+		}
+		for name, set := range map[string]*SystemSet{"columns": fused, "access": stepped} {
+			if got, want := set.Systems()[0].Stats(), solo.Stats(); got != want {
+				t.Errorf("config %d %s: one-member set diverges\nset:  %+v\nsolo: %+v", i, name, got, want)
+			}
+			if set.Systems()[0].mem != set.Memory() {
+				t.Errorf("config %d %s: member does not own the set's memory image", i, name)
+			}
+		}
+	}
+}
+
 // TestSystemSetChunkedParity checks that chunking the columns at
 // arbitrary boundaries (how the batch engine realizes measurement
 // hooks) leaves the final Stats identical to a single fused pass.

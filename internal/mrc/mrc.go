@@ -58,10 +58,6 @@ type Options struct {
 	// out over harness.Map. <= 1 runs the whole pass serially on the
 	// calling goroutine. This is wired to the -workers flag.
 	Shards int
-	// ChunkAccesses overrides the decode chunk granularity when the
-	// recording is not already chunk-compressed; 0 means
-	// trace.DefaultChunkAccesses.
-	ChunkAccesses int
 	// Ctx, when non-nil, cancels the pass at the next chunk boundary.
 	Ctx context.Context
 }
@@ -216,7 +212,7 @@ func Analyze(rec *trace.Recording, opt Options) (*Result, error) {
 	if opt.MaxAssoc == 1 {
 		return analyzeRawDM(rec, opt)
 	}
-	return AnalyzeChunked(rec.Chunked(opt.ChunkAccesses), opt)
+	return AnalyzeChunked(rec.Chunked(0), opt)
 }
 
 // analyzeRawDM is the direct-mapped fast path over a recording's raw

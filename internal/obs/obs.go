@@ -33,8 +33,11 @@ var Default = NewRegistry()
 // Well-known metrics, pre-registered on Default so hot paths can
 // increment them without a registry lookup.
 var (
-	// ReplayEvents counts events driven through the per-configuration
-	// replay path (sim.ReplayInto / sim.MeasureRecorded).
+	// ReplayEvents counts events replayed from recordings: the access
+	// events of each sim.MeasureRecordedBatch replay (the one
+	// measurement driver; MeasureRecorded is its batch of one), counted
+	// once per replay whatever its configuration count or parallelism,
+	// plus every event sim.ReplayInto drives through a bare System.
 	ReplayEvents = Default.Counter("replay_events_total")
 	// BatchEvents counts access events driven through the fused batch
 	// engine (core.SystemSet.ReplayColumns), once per event regardless

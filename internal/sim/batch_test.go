@@ -60,10 +60,10 @@ func TestBatchReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchReplayEquivalenceHooks checks the chunked hook path: warmup
-// exclusion, FVC content sampling and periodic audits must observe the
-// same access boundaries as the per-config replay, making the whole
-// MeasureResult — not just Stats — identical.
+// TestBatchReplayEquivalenceHooks checks the chunked hook path against
+// the live oracle: warmup exclusion, FVC content sampling and periodic
+// audits must observe the same access boundaries as a live Measure,
+// making the whole MeasureResult — not just Stats — identical.
 func TestBatchReplayEquivalenceHooks(t *testing.T) {
 	w, err := workload.Get("ccomp")
 	if err != nil {
@@ -85,12 +85,12 @@ func TestBatchReplayEquivalenceHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		solo, err := MeasureRecorded(rec, cfg, opt)
+		live, err := Measure(w, workload.Test, cfg, opt)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
-		if batch[i] != solo {
-			t.Errorf("config %d: hooked batch result diverges\nbatch: %+v\nsolo:  %+v", i, batch[i], solo)
+		if batch[i] != live {
+			t.Errorf("config %d: hooked batch result diverges\nbatch: %+v\nlive:  %+v", i, batch[i], live)
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestBatchReplayZeroAllocs(t *testing.T) {
 }
 
 // TestMissAttributionSetsParity checks the multi-set attribution pass
-// against per-set MissAttributionRecorded calls.
+// against the live oracle, one MissAttribution call per set.
 func TestMissAttributionSetsParity(t *testing.T) {
 	w, err := workload.Get("lispint")
 	if err != nil {
@@ -187,7 +187,7 @@ func TestMissAttributionSetsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, values := range sets {
-		soloTotal, soloAttr, err := MissAttributionRecorded(rec, cfg, values)
+		soloTotal, soloAttr, err := MissAttribution(w, workload.Test, cfg, values)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"fvcache/internal/core"
 	"fvcache/internal/harness"
@@ -34,14 +33,10 @@ import (
 //     inline, seeded from the true prior exit state, which is exact by
 //     induction; the worst case degenerates to serial replay, never to
 //     wrong results.
-//  4. Merge: per-range stats partials sum with Stats.Plus; warmup
-//     subtraction, FVC sample averages (re-summed in global boundary
-//     order so float non-associativity cannot perturb them) and the
-//     final audit reproduce MeasureRecordedBatch's semantics exactly.
-//
-// Epsilon mode (SeamEpsilon) skips steps 2's captures and 3's
-// validation: the speculative results are accepted as-is, trading a
-// documented, bounded miss-count error for zero validation cost.
+//  4. Merge: the accepted range outcomes go through the same merge as
+//     the serial replay's single range (see merge), which reproduces
+//     its warmup subtraction, FVC sample averages and final audit
+//     exactly.
 
 // seamRange is one worker's chunk assignment: replay chunks
 // [first, end), warming up over [warm, first).
@@ -77,20 +72,6 @@ func planRanges(c, w, warmChunks int) []seamRange {
 	return ranges
 }
 
-// rangeOutcome is one range's speculative replay result.
-type rangeOutcome struct {
-	set        *core.SystemSet
-	entry      core.SetState // canonical state at range start (exact mode)
-	exit       core.SetState // canonical state at range end (exact mode)
-	partial    []core.Stats  // stats delta over the range, per system
-	warmPart   []core.Stats  // stats delta to the warmup boundary, if inside
-	warmHit    bool
-	fracs      []float64 // k FVC frequent-fraction values per sample boundary
-	occs       []float64 // k occupancy values per sample boundary
-	samples    int
-	startStats []core.Stats
-}
-
 // parallelEligible reports whether every configuration's cache state
 // can be checkpointed (no online FVT identification).
 func parallelEligible(cfgs []core.Config) bool {
@@ -102,7 +83,7 @@ func parallelEligible(cfgs []core.Config) bool {
 	return true
 }
 
-// adaptiveOverlap returns the default warm-up window in accesses: 8x
+// adaptiveOverlap returns the warm-up window in accesses: 8x
 // the largest configured cache-state line count, enough that the LRU
 // state a range inherits from its true prefix is overwhelmingly
 // reconstructed by the overlap replay. L2 lines are weighted by a
@@ -142,161 +123,19 @@ func buildSeededSet(cc []core.Config, ch *trace.ChunkedRecording, uptoChunk int)
 	return set, nil
 }
 
-// replayChunkSpan replays chunks [first, end) through set with no hook
-// boundaries: decode into the reused scratch, one ReplayColumns call
-// per chunk. This is the steady-state worker loop — it performs zero
-// allocations once the scratch is warm — used for warm-up windows and
-// for hook-free range bodies.
-func replayChunkSpan(ctx context.Context, set *core.SystemSet, ch *trace.ChunkedRecording, first, end int, scratch *trace.ChunkScratch) error {
-	for ci := first; ci < end; ci++ {
-		if err := ctxErr(ctx, "parallel replay"); err != nil {
-			return err
-		}
-		ops, addrs, vals, err := ch.DecodeChunk(ci, scratch)
-		if err != nil {
-			return err
-		}
-		obs.ReplayChunks.Inc()
-		set.ReplayColumns(ops, addrs, vals)
-	}
-	return nil
-}
-
-// runRange replays range r through set — which the caller has already
-// positioned at r.first (memory image and cache state) — recording the
-// per-system stats partial and every hook observation that falls in
-// (rangeStart, rangeEnd]. Hook boundaries use global access indexes,
-// so the observations are the ones the serial fused replay would make.
-func runRange(ctx context.Context, set *core.SystemSet, ch *trace.ChunkedRecording, r seamRange, opt MeasureOptions, sampleHook bool, scratch *trace.ChunkScratch, out *rangeOutcome) error {
-	systems := set.Systems()
-	k := len(systems)
-	out.set = set
-	out.startStats = make([]core.Stats, k)
-	for i, s := range systems {
-		out.startStats[i] = s.Stats()
-	}
-
-	hooked := sampleHook || opt.AuditEvery > 0 ||
-		(opt.WarmupAccesses > ch.ChunkStart(r.first) && opt.WarmupAccesses <= ch.ChunkStart(r.end))
-	if !hooked {
-		if err := replayChunkSpan(ctx, set, ch, r.first, r.end, scratch); err != nil {
-			return err
-		}
-	} else {
-		n := ch.ChunkStart(r.first)
-		for ci := r.first; ci < r.end; ci++ {
-			ops, addrs, vals, err := ch.DecodeChunk(ci, scratch)
-			if err != nil {
-				return err
-			}
-			obs.ReplayChunks.Inc()
-			cstart := ch.ChunkStart(ci)
-			cend := cstart + uint64(len(ops))
-			for n < cend {
-				if err := ctxErr(ctx, "parallel replay"); err != nil {
-					return err
-				}
-				next := cend
-				if opt.WarmupAccesses > n && opt.WarmupAccesses < next {
-					next = opt.WarmupAccesses
-				}
-				if sampleHook {
-					if b := n - n%opt.SampleEvery + opt.SampleEvery; b < next {
-						next = b
-					}
-				}
-				if opt.AuditEvery > 0 {
-					if b := n - n%opt.AuditEvery + opt.AuditEvery; b < next {
-						next = b
-					}
-				}
-				set.ReplayColumns(ops[n-cstart:next-cstart], addrs[n-cstart:next-cstart], vals[n-cstart:next-cstart])
-				n = next
-				if opt.WarmupAccesses > 0 && n == opt.WarmupAccesses {
-					out.warmPart = make([]core.Stats, k)
-					for i, s := range systems {
-						out.warmPart[i] = s.Stats().Minus(out.startStats[i])
-					}
-					out.warmHit = true
-				}
-				if sampleHook && n%opt.SampleEvery == 0 {
-					for _, s := range systems {
-						var frac, occ float64
-						if f := s.FVC(); f != nil {
-							frac = f.FrequentFraction()
-							occ = float64(f.ValidEntries()) / float64(f.Params().Entries)
-						}
-						out.fracs = append(out.fracs, frac)
-						out.occs = append(out.occs, occ)
-					}
-					out.samples++
-				}
-				if opt.AuditEvery > 0 && n%opt.AuditEvery == 0 {
-					for i, s := range systems {
-						if aerr := s.AuditInvariants(); aerr != nil {
-							return fmt.Errorf("config %d: %w", i, aerr)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	out.partial = make([]core.Stats, k)
-	for i, s := range systems {
-		out.partial[i] = s.Stats().Minus(out.startStats[i])
-	}
-	return nil
-}
-
-// measureRecordedParallel is the chunk-parallel MeasureRecordedBatch.
-// handled is false when the batch cannot run parallel (online-FVT
-// configs, or an empty recording) and the caller should take the
-// serial path.
-func measureRecordedParallel(rec *trace.Recording, cfgs []core.Config, opt MeasureOptions) (out []MeasureResult, handled bool, err error) {
-	if !parallelEligible(cfgs) {
-		return nil, false, nil
-	}
-	ch := rec.Chunked(opt.ChunkAccesses)
-	if ch.Chunks() == 0 {
-		return nil, false, nil
-	}
-	start := time.Now()
-	if opt.Label != "" {
-		span := obs.Begin(fmt.Sprintf("parallel:%s[%d]", opt.Label, len(cfgs)))
-		defer span.Done()
-	}
+// replayParallel replays ch in up to opt.Parallelism ranges and returns
+// the accepted range outcomes in stream order, ready for merge.
+func replayParallel(ch *trace.ChunkedRecording, cc []core.Config, opt MeasureOptions, h hooks) ([]*rangeOutcome, error) {
 	obs.ParallelReplays.Inc()
-
-	cc := make([]core.Config, len(cfgs))
-	copy(cc, cfgs)
-	for i := range cc {
-		cc[i].VerifyValues = opt.VerifyValues
-	}
-	// sampleHook mirrors the serial batch: armed only when some config
-	// has an FVC to sample.
-	anyFVC := false
-	for _, c := range cc {
-		if c.FVC != nil {
-			anyFVC = true
-		}
-	}
-	sampleHook := opt.SampleEvery > 0 && anyFVC
-
-	overlap := opt.SeamOverlap
-	if overlap == 0 && !opt.SeamEpsilon {
-		overlap = adaptiveOverlap(cc)
-	}
-	warmChunks := int((overlap + uint64(ch.ChunkTarget()) - 1) / uint64(ch.ChunkTarget()))
+	target := uint64(ch.ChunkTarget())
+	warmChunks := int((adaptiveOverlap(cc) + target - 1) / target)
 	// A warm-up longer than the range it precedes costs more than the
 	// re-run it is trying to avoid: cap it at half a range.
-	if w := opt.Parallelism; w > 0 {
-		if maxWarm := ch.Chunks() / w / 2; warmChunks > maxWarm && opt.SeamOverlap == 0 {
-			warmChunks = maxWarm
-		}
+	if maxWarm := ch.Chunks() / opt.Parallelism / 2; warmChunks > maxWarm {
+		warmChunks = maxWarm
 	}
 	ranges := planRanges(ch.Chunks(), opt.Parallelism, warmChunks)
-	exact := !opt.SeamEpsilon
+	src := stream{ch: ch}
 
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -315,104 +154,51 @@ func measureRecordedParallel(rec *trace.Recording, cfgs []core.Config, opt Measu
 				return nil, err
 			}
 			var scratch trace.ChunkScratch
-			if err := replayChunkSpan(ctx, set, ch, r.warm, r.first, &scratch); err != nil {
+			if err := replaySpan(ctx, set, src, r.warm, r.first, hooks{}, &scratch, nil); err != nil {
 				return nil, err
 			}
-			oc := &rangeOutcome{}
-			if exact && ri > 0 {
+			oc := newOutcome(set)
+			if ri > 0 {
 				set.CaptureState(&oc.entry)
 			}
-			if err := runRange(ctx, set, ch, r, opt, sampleHook, &scratch, oc); err != nil {
+			if err := replaySpan(ctx, set, src, r.first, r.end, h, &scratch, oc); err != nil {
 				return nil, err
 			}
-			if exact {
-				set.CaptureState(&oc.exit)
-			}
+			set.CaptureState(&oc.exit)
 			return oc, nil
 		})
 	if merr != nil {
-		return nil, true, fmt.Errorf("sim: parallel replay aborted: %w", merr)
+		return nil, fmt.Errorf("sim: parallel replay aborted: %w", merr)
 	}
 
 	// Splice phase: walk the seams in order, re-running any range whose
 	// speculated entry state does not match its predecessor's exit.
-	if exact {
-		for ri := 1; ri < len(ranges); ri++ {
-			if outcomes[ri].entry.Equal(&outcomes[ri-1].exit) {
-				obs.SeamMatches.Inc()
-				continue
-			}
-			obs.SeamReruns.Inc()
-			r := ranges[ri]
-			oc := &rangeOutcome{}
-			rerun := func() error {
-				set, err := buildSeededSet(cc, ch, r.first)
-				if err != nil {
-					return err
-				}
-				set.RestoreState(&outcomes[ri-1].exit)
-				var scratch trace.ChunkScratch
-				if err := runRange(ctx, set, ch, r, opt, sampleHook, &scratch, oc); err != nil {
-					return err
-				}
-				oc.set.CaptureState(&oc.exit)
-				return nil
-			}
-			if rerr := harness.Recover(rerun); rerr != nil {
-				return nil, true, fmt.Errorf("sim: parallel replay aborted (seam re-run %d): %w", ri, rerr)
-			}
-			outcomes[ri] = oc
+	for ri := 1; ri < len(ranges); ri++ {
+		if outcomes[ri].entry.Equal(&outcomes[ri-1].exit) {
+			obs.SeamMatches.Inc()
+			continue
 		}
+		obs.SeamReruns.Inc()
+		r := ranges[ri]
+		var oc *rangeOutcome
+		rerun := func() error {
+			set, err := buildSeededSet(cc, ch, r.first)
+			if err != nil {
+				return err
+			}
+			set.RestoreState(&outcomes[ri-1].exit)
+			oc = newOutcome(set)
+			var scratch trace.ChunkScratch
+			if err := replaySpan(ctx, set, src, r.first, r.end, h, &scratch, oc); err != nil {
+				return err
+			}
+			set.CaptureState(&oc.exit)
+			return nil
+		}
+		if rerr := harness.Recover(rerun); rerr != nil {
+			return nil, fmt.Errorf("sim: parallel replay aborted (seam re-run %d): %w", ri, rerr)
+		}
+		outcomes[ri] = oc
 	}
-
-	// Merge phase: sum the partials in range order; the warmup
-	// subtraction and sample averages reproduce the serial loop's
-	// arithmetic exactly.
-	k := len(cc)
-	total := make([]core.Stats, k)
-	warmAbs := make([]core.Stats, k)
-	fracSum := make([]float64, k)
-	occSum := make([]float64, k)
-	samples := 0
-	for _, oc := range outcomes {
-		if oc.warmHit {
-			for i := range warmAbs {
-				warmAbs[i] = total[i].Plus(oc.warmPart[i])
-			}
-		}
-		for i := range total {
-			total[i] = total[i].Plus(oc.partial[i])
-		}
-		for s := 0; s < oc.samples; s++ {
-			for i := 0; i < k; i++ {
-				fracSum[i] += oc.fracs[s*k+i]
-				occSum[i] += oc.occs[s*k+i]
-			}
-		}
-		samples += oc.samples
-	}
-	if opt.AuditEvery > 0 {
-		last := outcomes[len(outcomes)-1]
-		for i, s := range last.set.Systems() {
-			if aerr := s.AuditInvariants(); aerr != nil {
-				return nil, true, fmt.Errorf("sim: final audit (config %d): %w", i, aerr)
-			}
-		}
-	}
-
-	out = make([]MeasureResult, k)
-	for i := range out {
-		out[i].Stats = total[i].Minus(warmAbs[i])
-		if samples > 0 && cc[i].FVC != nil {
-			out[i].FVCFreqFrac = fracSum[i] / float64(samples)
-			out[i].FVCOccupancy = occSum[i] / float64(samples)
-		}
-	}
-	if opt.Label != "" {
-		if d := time.Since(start); d > 0 {
-			obs.Default.Gauge(obs.Labeled("parallel_events_per_sec", "workload", opt.Label)).
-				Set(float64(ch.Accesses()) * float64(k) / d.Seconds())
-		}
-	}
-	return out, true, nil
+	return outcomes, nil
 }

@@ -102,126 +102,13 @@ func ReplayInto(rec *trace.Recording, sys *core.System) {
 	obs.ReplayEvents.Add(uint64(len(ops)))
 }
 
-// MeasureRecorded is Measure driven from a recording instead of a live
-// workload execution. The hook semantics (warmup snapshot, FVC
-// sampling, periodic audits) match Measure exactly, so for a recording
-// of w at scale the result is bit-identical to Measure(w, scale, ...).
+// MeasureRecorded is Measure driven from a recording: a batch of one
+// through MeasureRecordedBatch. For a recording of w at scale the
+// result, hooks included, is bit-identical to Measure(w, scale, ...).
 func MeasureRecorded(rec *trace.Recording, cfg core.Config, opt MeasureOptions) (MeasureResult, error) {
-	if err := ctxErr(opt.Ctx, "replay measurement"); err != nil {
-		return MeasureResult{}, err
-	}
-	cfg.VerifyValues = opt.VerifyValues
-	sys, err := core.New(cfg)
+	out, err := MeasureRecordedBatch(rec, []core.Config{cfg}, opt)
 	if err != nil {
 		return MeasureResult{}, err
 	}
-	var fracSum, occSum float64
-	var samples int
-	var warmupStats core.Stats
-	needHook := opt.WarmupAccesses > 0 || opt.AuditEvery > 0 ||
-		(opt.SampleEvery > 0 && sys.FVC() != nil)
-	replay := func() error {
-		if !needHook {
-			if opt.Ctx == nil {
-				ReplayInto(rec, sys)
-				return nil
-			}
-			// Cancellable fast path: drive the access columns in
-			// cancelCheckEvery-sized chunks, checking the context between
-			// chunks. Same bulk ReplayColumns loop, so the steady-state
-			// allocation behavior is unchanged.
-			ops, addrs, vals := rec.AccessColumns()
-			for n := 0; n < len(ops); n += cancelCheckEvery {
-				if err := ctxErr(opt.Ctx, "replay measurement"); err != nil {
-					return err
-				}
-				end := n + cancelCheckEvery
-				if end > len(ops) {
-					end = len(ops)
-				}
-				sys.ReplayColumns(ops[n:end], addrs[n:end], vals[n:end])
-			}
-			obs.ReplayEvents.Add(uint64(len(ops)))
-			return nil
-		}
-		ops, addrs, vals := rec.Columns()
-		var n uint64
-		for i, op := range ops {
-			if !op.IsAccess() {
-				continue
-			}
-			sys.Access(op, addrs[i], vals[i])
-			n++
-			if opt.Ctx != nil && n%cancelCheckEvery == 0 {
-				if err := ctxErr(opt.Ctx, "replay measurement"); err != nil {
-					return err
-				}
-			}
-			if opt.WarmupAccesses > 0 && n == opt.WarmupAccesses {
-				warmupStats = sys.Stats()
-			}
-			if opt.SampleEvery > 0 && sys.FVC() != nil && n%opt.SampleEvery == 0 {
-				fracSum += sys.FVC().FrequentFraction()
-				occSum += float64(sys.FVC().ValidEntries()) / float64(sys.FVC().Params().Entries)
-				samples++
-			}
-			if opt.AuditEvery > 0 && n%opt.AuditEvery == 0 {
-				if aerr := sys.AuditInvariants(); aerr != nil {
-					panic(aerr)
-				}
-			}
-		}
-		return nil
-	}
-	// Same recover boundary as Measure: simulator asserts panic, and
-	// one corrupt replay must not take down a whole sweep.
-	if rerr := harness.Recover(replay); rerr != nil {
-		return MeasureResult{}, fmt.Errorf("sim: replay measurement aborted: %w", rerr)
-	}
-	if needHook {
-		// The fast path counts inside ReplayInto.
-		obs.ReplayEvents.Add(uint64(rec.Len()))
-	}
-	if opt.AuditEvery > 0 {
-		if aerr := sys.AuditInvariants(); aerr != nil {
-			return MeasureResult{}, fmt.Errorf("sim: final audit: %w", aerr)
-		}
-	}
-	res := MeasureResult{Stats: sys.Stats().Minus(warmupStats)}
-	if samples > 0 {
-		res.FVCFreqFrac = fracSum / float64(samples)
-		res.FVCOccupancy = occSum / float64(samples)
-	}
-	return res, nil
-}
-
-// MissAttributionRecorded is MissAttribution driven from a recording.
-func MissAttributionRecorded(rec *trace.Recording, cfg core.Config, values []uint32) (total, attributed uint64, err error) {
-	sys, err := core.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	set := make(map[uint32]struct{}, len(values))
-	for _, v := range values {
-		set[v] = struct{}{}
-	}
-	run := func() error {
-		ops, addrs, vals := rec.Columns()
-		for i, op := range ops {
-			if !op.IsAccess() {
-				continue
-			}
-			if sys.Access(op, addrs[i], vals[i]) == core.Miss {
-				total++
-				if _, ok := set[vals[i]]; ok {
-					attributed++
-				}
-			}
-		}
-		return nil
-	}
-	if rerr := harness.Recover(run); rerr != nil {
-		return 0, 0, fmt.Errorf("sim: miss attribution aborted: %w", rerr)
-	}
-	return total, attributed, nil
+	return out[0], nil
 }

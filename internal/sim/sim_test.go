@@ -114,8 +114,8 @@ func TestMissAttribution(t *testing.T) {
 
 // TestMeasureCtxCancelled: every measurement entry point must refuse a
 // context that is already cancelled, and an uncancelled context must
-// not perturb results (the cancellable fast path chunks the same bulk
-// replay loop).
+// not perturb results (a cancellable replay only cuts the same bulk
+// replay loop at the context-check cadence).
 func TestMeasureCtxCancelled(t *testing.T) {
 	w := wl(t, "goboard")
 	cfg := core.Config{Main: cache.Params{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 1}}
