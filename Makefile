@@ -26,14 +26,13 @@ lint-examples:
 # out), the race-enabled test suite (which includes the fvcached
 # service e2e tests: request coalescing, 429 backpressure, graceful
 # drain, deadlines, the circuit breaker, and the chaos detection
-# matrix over the durable result cache, the chunk-parallel seam-
-# equivalence suite — workers racing over shared chunk columns must
-# stay bit-identical to serial — the flight-recorder concurrency test,
+# matrix over the durable result cache, concurrent batch replays over
+# one shared recording, the flight-recorder concurrency test,
 # the 3-node fleet suite and the cache-hit fast path), a short fuzz smoke
 # run over the hardened trace reader, the columnar chunk codec, and
 # the result-cache entry codec, the telemetry-overhead gate (the
-# steady-state replay loops — serial, fused batch, and the per-worker
-# parallel chunk loop — and the result-cache hit path must stay
+# steady-state replay loops — per-config, fused batch, and the
+# driver's boundary loop — and the result-cache hit path must stay
 # allocation-free with telemetry compiled in, and the exported
 # telemetry.json must validate end to end), the service smoke and
 # crash-recovery runs (boot fvcached, measure over HTTP, SIGKILL it
@@ -41,8 +40,8 @@ lint-examples:
 # recompute), a single-iteration pass over every benchmark so the
 # benchmark corpus cannot rot, and a sanity pass over the committed
 # sweep-engine artifact (it must parse, every speedup layer must hold
-# its core-count-aware threshold — including the analytic miss-rate-
-# curve pass's 5x bar over the ladder replay — the steady-state
+# its threshold — including the analytic miss-rate-curve pass's 5x
+# bar over the ladder replay — the steady-state
 # allocation counts must be zero, the compression ratio must beat the
 # raw columns, and its telemetry snapshot must validate). The mrc
 # zero-alloc gate pins both analytic hot loops: the banked Mattson
@@ -64,7 +63,7 @@ check: vet lint-examples build
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=5s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=5s
 	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=5s
-	$(GO) test -count=1 -run='TestReplayAccessPathZeroAllocs|TestBatchReplayZeroAllocs|TestParallelSteadyReplayZeroAllocs' ./internal/sim
+	$(GO) test -count=1 -run='TestReplayAccessPathZeroAllocs|TestBatchReplayZeroAllocs' ./internal/sim
 	$(GO) test -count=1 -run='TestChunkedDecodeZeroAllocsSteadyState' ./internal/trace
 	$(GO) test -count=1 -run='TestMRCSteadyZeroAllocs|TestMRCDMSteadyZeroAllocs' ./internal/mrc
 	$(GO) test -count=1 -run='TestResultCacheHitZeroAllocs' ./internal/resultcache
@@ -75,9 +74,9 @@ check: vet lint-examples build
 	$(GO) run ./cmd/serveload -verify BENCH_serve.json
 
 # bench measures the sweep-engine layers (per-config replay, the fused
-# batch, and the chunk-parallel replay) against live execution and
-# writes the BENCH_sweep.json artifact, plus the run's telemetry.json
-# snapshot next to it.
+# batch, and the analytic miss-rate-curve pass) against live execution
+# and writes the BENCH_sweep.json artifact, plus the run's
+# telemetry.json snapshot next to it.
 bench:
 	$(GO) run ./cmd/benchsweep -o BENCH_sweep.json
 

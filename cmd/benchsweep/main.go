@@ -8,13 +8,11 @@
 // the recording engine; "replay" captures the trace once through the
 // shared recording cache and replays it once per configuration;
 // "batch" replays the recording exactly once, driving every
-// configuration in lockstep through the fused SystemSet engine;
-// "parallel" adds the chunk-parallel layer on top, splitting the one
-// fused replay across -workers cores seeded from columnar chunk
-// checkpoints. The artifact also reports the steady-state allocation
-// counts of both replay paths (which the de-allocated access loops
-// keep at zero), the machine's core count, and the columnar trace's
-// compressed bytes per access.
+// configuration in lockstep through the fused SystemSet engine. The
+// artifact also reports the steady-state allocation counts of both
+// replay paths (which the de-allocated access loops keep at zero), the
+// machine's core count, and the columnar trace's compressed bytes per
+// access.
 //
 // A second pair of lanes races the analytic miss-rate-curve engine
 // (internal/mrc) against the fused batch replay of a fig10-style
@@ -26,11 +24,9 @@
 //
 // With -verify, benchsweep instead reads an existing artifact and
 // checks it is well-formed: every speedup layer must be >= 1.0, the
-// parallel lane must beat batch on multi-core machines (and stay
-// within bounded overhead on one core), the analytic pass must beat
-// the ladder replay by at least 5x, the steady-state allocation
-// counts zero, the compression ratio real, and the telemetry snapshot
-// next to it must satisfy obs.ValidateSnapshot. All violations are
+// analytic pass must beat the ladder replay by at least 5x, the
+// steady-state allocation counts zero, the compression ratio real, and
+// the telemetry snapshot next to it must satisfy obs.ValidateSnapshot. All violations are
 // reported at once, each naming the offending field. make check uses
 // this to keep both committed artifacts honest.
 package main
@@ -63,23 +59,20 @@ type report struct {
 	Configs  int    `json:"configs"`
 	Accesses uint64 `json:"accesses"`
 
-	LiveNsPerSweep     int64   `json:"live_ns_per_sweep"`
-	ReplayNsPerSweep   int64   `json:"replay_ns_per_sweep"`
-	BatchNsPerSweep    int64   `json:"batch_ns_per_sweep"`
-	ParallelNsPerSweep int64   `json:"parallel_ns_per_sweep"`
-	Speedup            float64 `json:"speedup"`          // live / replay
-	BatchSpeedup       float64 `json:"batch_speedup"`    // replay / batch
-	TotalSpeedup       float64 `json:"total_speedup"`    // live / batch
-	ParallelSpeedup    float64 `json:"parallel_speedup"` // batch / parallel
+	LiveNsPerSweep   int64   `json:"live_ns_per_sweep"`
+	ReplayNsPerSweep int64   `json:"replay_ns_per_sweep"`
+	BatchNsPerSweep  int64   `json:"batch_ns_per_sweep"`
+	Speedup          float64 `json:"speedup"`       // live / replay
+	BatchSpeedup     float64 `json:"batch_speedup"` // replay / batch
+	TotalSpeedup     float64 `json:"total_speedup"` // live / batch
 
-	// Cores records how many CPUs the parallel lane could use
-	// (GOMAXPROCS at bench time); verify's parallel_speedup threshold
-	// depends on it, since one core can only show bounded overhead.
+	// Cores records the host's GOMAXPROCS at bench time, so numbers
+	// from different hosts are not mistaken for one another.
 	Cores int `json:"cores"`
 	// CompressedBytesPerAccess is the columnar chunk encoding's
 	// footprint (store bitset + delta'd addrs + frame-of-reference
-	// values + checkpoint deltas) per recorded access. The raw columns
-	// cost 9 bytes per access.
+	// values) per recorded access. The raw columns cost 9 bytes per
+	// access.
 	CompressedBytesPerAccess float64 `json:"compressed_bytes_per_access"`
 
 	// SteadyReplayAllocs counts heap allocations per full recording
@@ -149,7 +142,7 @@ func crossCheckMRC(rec *trace.Recording, cfgs []core.Config, mrcOpt mrc.Options)
 	return nil
 }
 
-func run(ctx context.Context, out string, workers int) error {
+func run(ctx context.Context, out string) error {
 	const scale = workload.Test
 	w, err := workload.Get("imgdct")
 	if err != nil {
@@ -195,17 +188,6 @@ func run(ctx context.Context, out string, workers int) error {
 			}
 		}
 	}
-	parallelBench := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rec, err := sim.Recordings.Get(w, scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.MeasureRecordedBatch(rec, cfgs, sim.MeasureOptions{Parallelism: workers}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 
 	ladderCfgs, ladderSets := mrcLadder()
 	mrcOpt := mrc.Options{LineBytes: 32, MaxSizeBytes: 64 << 10, SetCounts: ladderSets, MaxAssoc: 1}
@@ -231,7 +213,7 @@ func run(ctx context.Context, out string, workers int) error {
 	// minimum is the standard de-noising estimator for wall-clock
 	// benchmarks on shared machines (noise is strictly additive).
 	const reps = 3
-	liveNs, replayNs, batchNs, parallelNs := int64(0), int64(0), int64(0), int64(0)
+	liveNs, replayNs, batchNs := int64(0), int64(0), int64(0)
 	ladderNs, mrcNs := int64(0), int64(0)
 	bspan := obs.Begin("bench")
 	for r := 0; r < reps; r++ {
@@ -257,11 +239,6 @@ func run(ctx context.Context, out string, workers int) error {
 			batchNs = ns
 		}
 		fspan.Done()
-		cspan := bspan.Begin("parallel")
-		if ns := testing.Benchmark(parallelBench).NsPerOp(); r == 0 || ns < parallelNs {
-			parallelNs = ns
-		}
-		cspan.Done()
 		dspan := bspan.Begin("ladder")
 		if ns := testing.Benchmark(ladderBench).NsPerOp(); r == 0 || ns < ladderNs {
 			ladderNs = ns
@@ -302,11 +279,9 @@ func run(ctx context.Context, out string, workers int) error {
 		LiveNsPerSweep:           liveNs,
 		ReplayNsPerSweep:         replayNs,
 		BatchNsPerSweep:          batchNs,
-		ParallelNsPerSweep:       parallelNs,
 		Speedup:                  float64(liveNs) / float64(replayNs),
 		BatchSpeedup:             float64(replayNs) / float64(batchNs),
 		TotalSpeedup:             float64(liveNs) / float64(batchNs),
-		ParallelSpeedup:          float64(batchNs) / float64(parallelNs),
 		Cores:                    runtime.GOMAXPROCS(0),
 		CompressedBytesPerAccess: rec.Chunked(0).BytesPerAccess(),
 		SteadyReplayAllocs:       allocs,
@@ -325,11 +300,10 @@ func run(ctx context.Context, out string, workers int) error {
 	if err := os.WriteFile(out, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %d configs: live %.1fms  replay %.1fms  batch %.1fms  parallel %.1fms (%d workers, %d cores)  speedup %.2fx  batch speedup %.2fx  total %.2fx  parallel speedup %.2fx  %.2f B/access  steady allocs replay %.0f batch %.0f\n",
+	fmt.Printf("%-10s %d configs: live %.1fms  replay %.1fms  batch %.1fms (%d cores)  speedup %.2fx  batch speedup %.2fx  total %.2fx  %.2f B/access  steady allocs replay %.0f batch %.0f\n",
 		r.Workload, r.Configs,
 		float64(r.LiveNsPerSweep)/1e6, float64(r.ReplayNsPerSweep)/1e6, float64(r.BatchNsPerSweep)/1e6,
-		float64(r.ParallelNsPerSweep)/1e6, workers, r.Cores,
-		r.Speedup, r.BatchSpeedup, r.TotalSpeedup, r.ParallelSpeedup,
+		r.Cores, r.Speedup, r.BatchSpeedup, r.TotalSpeedup,
 		r.CompressedBytesPerAccess,
 		r.SteadyReplayAllocs, r.SteadyBatchAllocs)
 	fmt.Printf("%-10s %d-point DM ladder: batch %.1fms  mrc %.1fms (%.2f ns/access)  mrc speedup %.2fx\n",
@@ -349,12 +323,6 @@ func run(ctx context.Context, out string, workers int) error {
 // in one run instead of one field per run. The telemetry snapshot
 // written alongside the artifact is validated too, so a schema
 // regression in the exporter cannot ship unnoticed.
-//
-// The parallel_speedup threshold is core-count aware: with two or more
-// cores the chunk-parallel lane must genuinely beat the fused batch
-// replay (>= 1.2x); on a single core no speedup is physically possible,
-// so the gate instead bounds the checkpoint/splice overhead
-// (>= 0.6x, i.e. at most ~1.7x slower than batch).
 func verify(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -387,7 +355,6 @@ func verify(path string) error {
 		{"live_ns_per_sweep", r.LiveNsPerSweep},
 		{"replay_ns_per_sweep", r.ReplayNsPerSweep},
 		{"batch_ns_per_sweep", r.BatchNsPerSweep},
-		{"parallel_ns_per_sweep", r.ParallelNsPerSweep},
 		{"ladder_ns_per_sweep", r.LadderNsPerSweep},
 		{"mrc_ns_per_sweep", r.MRCNsPerSweep},
 	} {
@@ -407,17 +374,8 @@ func verify(path string) error {
 			badf("%s is %.2f, want >= 1.0", c.name, c.v)
 		}
 	}
-	minParallel := 0.6 // single core: bounded overhead, not speedup
-	if r.Cores >= 2 {
-		minParallel = 1.2
-	}
-	if r.ParallelSpeedup < minParallel {
-		badf("parallel_speedup is %.2f, want >= %.1f on %d cores",
-			r.ParallelSpeedup, minParallel, r.Cores)
-	}
 	// The analytic engine's bar is absolute: one reuse-distance pass
-	// must beat the fused batch replay of the same size ladder by 5x
-	// on any core count (the pass is serial).
+	// must beat the fused batch replay of the same size ladder by 5x.
 	if r.MRCSpeedup < 5.0 {
 		badf("mrc_speedup is %.2f, want >= 5.0", r.MRCSpeedup)
 	}
@@ -446,8 +404,8 @@ func verify(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", tpath, err)
 	}
-	fmt.Printf("%s ok: live/replay %.2fx, replay/batch %.2fx, live/batch %.2fx, batch/parallel %.2fx on %d cores, mrc %.2fx over the %d-point ladder, %.2f B/access, zero steady-state allocs\n",
-		path, r.Speedup, r.BatchSpeedup, r.TotalSpeedup, r.ParallelSpeedup, r.Cores,
+	fmt.Printf("%s ok: live/replay %.2fx, replay/batch %.2fx, live/batch %.2fx on %d cores, mrc %.2fx over the %d-point ladder, %.2f B/access, zero steady-state allocs\n",
+		path, r.Speedup, r.BatchSpeedup, r.TotalSpeedup, r.Cores,
 		r.MRCSpeedup, r.MRCPoints, r.CompressedBytesPerAccess)
 	fmt.Printf("%s ok: %s, %d counters, %d phases\n",
 		tpath, snap.Schema, len(snap.Counters), len(snap.Phases.Children))
@@ -461,13 +419,9 @@ func main() {
 func mainExit() (code int) {
 	out := flag.String("o", "BENCH_sweep.json", "output path for the JSON artifact")
 	check := flag.String("verify", "", "verify an existing artifact instead of benchmarking")
-	cf := harness.AddCommonFlags(flag.CommandLine, harness.FlagWorkers|harness.FlagTimeout, "")
+	cf := harness.AddCommonFlags(flag.CommandLine, harness.FlagTimeout, "")
 	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	workers := cf.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if *check != "" {
 		// Verify is read-only: it must not overwrite the committed
 		// telemetry artifact it is checking.
@@ -494,7 +448,7 @@ func mainExit() (code int) {
 	}()
 	ctx, cancel := cf.Context(context.Background())
 	defer cancel()
-	if err := run(ctx, *out, workers); err != nil {
+	if err := run(ctx, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsweep:", err)
 		return 1
 	}

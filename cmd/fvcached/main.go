@@ -128,8 +128,7 @@ func run() (code int) {
 	}
 
 	sv := serve.New(serve.Options{
-		// -workers sizes the pool; each batch replays on its own worker
-		// plus the idle ones, so it also bounds the replay width.
+		// -workers sizes the pool: one batch replays per worker.
 		Workers:         cf.Workers,
 		QueueDepth:      *queue,
 		CoalesceWindow:  *window,

@@ -153,13 +153,10 @@ type Options struct {
 	// AuditEvery re-checks the hierarchy's structural invariants every
 	// N accesses (0 disables auditing).
 	AuditEvery uint64 `json:"audit_every,omitempty"`
-	// Parallelism, when positive, replays the measurement's recording
-	// chunk-parallel on up to that many workers (seeded from per-chunk
-	// memory checkpoints, seam-spliced exactly — results stay
-	// bit-identical to a serial replay). 0 replays serially. Excluded
-	// from JSON serialization on purpose: parallelism does not change
-	// results, so it must not fragment request-coalescing or
-	// result-cache keys derived from these options.
+	// Deprecated: Parallelism is ignored. Every replay runs as one
+	// serial pass over the recording's access columns; results never
+	// depended on it. Excluded from JSON so it cannot fragment
+	// request-coalescing or result-cache keys.
 	Parallelism int `json:"-"`
 }
 
@@ -173,7 +170,6 @@ func (o Options) simOptions(ctx context.Context, label string) sim.MeasureOption
 		AuditEvery:     o.AuditEvery,
 		Label:          label,
 		Ctx:            ctx,
-		Parallelism:    o.Parallelism,
 	}
 }
 
@@ -293,9 +289,8 @@ type MRCRequest struct {
 	// two; 1 = fully associative). Empty means fully associative only.
 	SetCounts []int `json:"set_counts,omitempty"`
 	// Shards bounds intra-pass parallelism (per-set stack sharding).
-	// Excluded from JSON on purpose, like Options.Parallelism: it does
-	// not change results, so it must not fragment coalescing or
-	// result-cache keys.
+	// Excluded from JSON on purpose: it does not change results, so it
+	// must not fragment coalescing or result-cache keys.
 	Shards int `json:"-"`
 }
 

@@ -200,28 +200,6 @@ func (s Stats) Minus(o Stats) Stats {
 	}
 }
 
-// Plus returns the sum s + o, field by field. The chunk-parallel
-// replay engine accumulates per-range partial stats with it.
-func (s Stats) Plus(o Stats) Stats {
-	return Stats{
-		Loads:             s.Loads + o.Loads,
-		Stores:            s.Stores + o.Stores,
-		MainHits:          s.MainHits + o.MainHits,
-		FVCHits:           s.FVCHits + o.FVCHits,
-		VictimHits:        s.VictimHits + o.VictimHits,
-		Misses:            s.Misses + o.Misses,
-		LineFetches:       s.LineFetches + o.LineFetches,
-		LineWritebacks:    s.LineWritebacks + o.LineWritebacks,
-		FVCWritebackWords: s.FVCWritebackWords + o.FVCWritebackWords,
-		WriteMissAllocs:   s.WriteMissAllocs + o.WriteMissAllocs,
-		TrafficWords:      s.TrafficWords + o.TrafficWords,
-		FVTUpdates:        s.FVTUpdates + o.FVTUpdates,
-		L2Hits:            s.L2Hits + o.L2Hits,
-		L2Misses:          s.L2Misses + o.L2Misses,
-		L2Writebacks:      s.L2Writebacks + o.L2Writebacks,
-	}
-}
-
 // Hits returns the total hits across structures.
 func (s Stats) Hits() uint64 { return s.MainHits + s.FVCHits + s.VictimHits }
 

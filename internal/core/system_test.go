@@ -361,3 +361,17 @@ func TestFVCNeverHurtsWithoutAllocation(t *testing.T) {
 		t.Errorf("FVC increased misses: %d > %d", aug.Stats().Misses, base.Stats().Misses)
 	}
 }
+
+// TestStatsMinus pins the field-by-field difference the measurement
+// driver uses to exclude warm-up accesses.
+func TestStatsMinus(t *testing.T) {
+	a := Stats{Loads: 10, Stores: 5, MainHits: 7, Misses: 8, TrafficWords: 100, L2Hits: 3}
+	b := Stats{Loads: 1, Stores: 2, MainHits: 3, Misses: 4, TrafficWords: 50, L2Hits: 1}
+	want := Stats{Loads: 9, Stores: 3, MainHits: 4, Misses: 4, TrafficWords: 50, L2Hits: 2}
+	if got := a.Minus(b); got != want {
+		t.Fatalf("Minus = %+v, want %+v", got, want)
+	}
+	if got := a.Minus(Stats{}); got != a {
+		t.Fatalf("Minus(zero) = %+v, want %+v", got, a)
+	}
+}

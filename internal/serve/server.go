@@ -252,10 +252,6 @@ type Server struct {
 	nBatches   atomic.Uint64
 	nCoalesced atomic.Uint64
 	nRejected  atomic.Uint64
-
-	// busy counts workers inside runBatch; the rest of the pool is idle
-	// and lends its cores to the next batch's replay (see replayWidth).
-	busy atomic.Int32
 }
 
 // New builds a Server and starts its worker pool. Callers must
@@ -513,9 +509,7 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for b := range s.queue {
 		queueDepth.Set(float64(len(s.queue)))
-		s.busy.Add(1)
 		s.runBatch(b)
-		s.busy.Add(-1)
 	}
 }
 
@@ -624,12 +618,8 @@ func (s *Server) execBatch(ctx context.Context, b *batch) ([]fvcache.MeasureResu
 		}
 		cfgs[i] = cw.Materialize(values)
 	}
-	opts := b.opts
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.replayWidth()
-	}
 	results, err := fvcache.MeasureBatch(ctx, fvcache.MeasureBatchRequest{
-		Workload: b.workload, Scale: b.scale, Configs: cfgs, Options: opts,
+		Workload: b.workload, Scale: b.scale, Configs: cfgs, Options: b.opts,
 	})
 	if err != nil {
 		return nil, err
@@ -641,16 +631,6 @@ func (s *Server) execBatch(ctx context.Context, b *batch) ([]fvcache.MeasureResu
 		}
 	}
 	return results, nil
-}
-
-// replayWidth sizes one batch's chunk-parallel replay: the calling
-// worker plus every worker idle right now. A lone batch on an idle
-// pool gets the whole machine; batches running side by side share it
-// instead of each spawning a pool-wide replay. Parallelism never
-// changes results, so it participates in neither coalescing keys nor
-// result-cache keys.
-func (s *Server) replayWidth() int {
-	return max(1, 1+s.opt.Workers-int(s.busy.Load()))
 }
 
 // measureKey is the durable-cache key of one normalized configuration

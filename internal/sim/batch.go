@@ -15,29 +15,18 @@ import (
 // MeasureRecordedBatch is the measurement driver every replayed
 // measurement goes through: it replays rec exactly once, driving one
 // core.System per configuration in lockstep through a core.SystemSet,
-// and returns per-configuration results in cfgs order. One column
-// decode and one architectural memory image are shared by all K
-// configurations, so a K-point sweep pays the trace traversal once
-// instead of K times; MeasureRecorded is the batch of one.
+// and returns per-configuration results in cfgs order. One pass over
+// the recording's in-memory access columns and one architectural
+// memory image are shared by all K configurations, so a K-point sweep
+// pays the trace traversal once instead of K times; MeasureRecorded is
+// the batch of one.
 //
-// The stream is replayed as one or more contiguous ranges — one range
-// over the in-memory access columns when opt.Parallelism is 0, up to
-// Parallelism ranges over the compressed chunk stream otherwise — each
-// through the same boundary loop (replaySpan), and the range outcomes
-// are merged in stream order. Hooks fire at the same access counts as
-// the live Measure, so snapshots, FVC samples and audits observe each
-// system where a live run would, and results are bit-identical to it.
-// A failure (audit violation or simulator panic) aborts the whole
-// batch.
+// The pass runs through one boundary loop (replaySpan). Hooks fire at
+// the same access counts as the live Measure, so snapshots, FVC
+// samples and audits observe each system where a live run would, and
+// results are bit-identical to it. A failure (audit violation or
+// simulator panic) aborts the whole batch.
 func MeasureRecordedBatch(rec *trace.Recording, cfgs []core.Config, opt MeasureOptions) ([]MeasureResult, error) {
-	return measureRecorded(rec, cfgs, opt, 0)
-}
-
-// measureRecorded is MeasureRecordedBatch with the chunk granularity of
-// the chunk-parallel path as a parameter (<= 0 selects
-// trace.DefaultChunkAccesses), so tests can put seams at awkward
-// offsets.
-func measureRecorded(rec *trace.Recording, cfgs []core.Config, opt MeasureOptions, chunkAccesses int) ([]MeasureResult, error) {
 	if err := ctxErr(opt.Ctx, "replay"); err != nil {
 		return nil, err
 	}
@@ -47,39 +36,25 @@ func measureRecorded(rec *trace.Recording, cfgs []core.Config, opt MeasureOption
 		cc[i].VerifyValues = opt.VerifyValues
 	}
 	h := newHooks(opt, cc)
-
-	var ch *trace.ChunkedRecording
-	if opt.Parallelism > 0 {
-		if parallelEligible(cc) {
-			ch = rec.Chunked(chunkAccesses)
-		}
-		if ch == nil || ch.Chunks() == 0 {
-			// Not checkpointable (online FVT) or empty: serial path.
-			ch = nil
-			obs.ParallelFallbacks.Inc()
-		}
-	}
-	kind := "batch"
-	if ch != nil {
-		kind = "parallel"
-	}
 	start := time.Now()
 	if opt.Label != "" {
-		span := obs.Begin(fmt.Sprintf("%s:%s[%d]", kind, opt.Label, len(cc)))
+		span := obs.Begin(fmt.Sprintf("batch:%s[%d]", opt.Label, len(cc)))
 		defer span.Done()
 	}
 
-	var outcomes []*rangeOutcome
-	var err error
-	if ch != nil {
-		outcomes, err = replayParallel(ch, cc, opt, h)
-	} else {
-		outcomes, err = replaySerial(opt.Ctx, rec, cc, h)
-	}
+	set, err := core.NewSet(cc)
 	if err != nil {
 		return nil, err
 	}
-	out, err := merge(outcomes, cc, opt.AuditEvery > 0)
+	oc := newOutcome(set)
+	ops, addrs, vals := rec.AccessColumns()
+	// Simulator asserts panic; the recover boundary turns them into
+	// errors so one corrupt replay cannot take down a whole sweep.
+	run := func() error { return replaySpan(opt.Ctx, ops, addrs, vals, h, oc) }
+	if rerr := harness.Recover(run); rerr != nil {
+		return nil, fmt.Errorf("sim: batch replay aborted: %w", rerr)
+	}
+	out, err := oc.results(cc, opt.AuditEvery > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -90,28 +65,11 @@ func measureRecorded(rec *trace.Recording, cfgs []core.Config, opt MeasureOption
 			// System-events per second: one pass drives k systems
 			// through every access, so the driver's effective
 			// throughput is total×k events over the pass wall-clock.
-			obs.Default.Gauge(obs.Labeled(kind+"_events_per_sec", "workload", opt.Label)).
+			obs.Default.Gauge(obs.Labeled("batch_events_per_sec", "workload", opt.Label)).
 				Set(float64(total) * float64(len(cc)) / d.Seconds())
 		}
 	}
 	return out, nil
-}
-
-// replaySerial replays the whole stream as a single range over the
-// recording's in-memory access columns.
-func replaySerial(ctx context.Context, rec *trace.Recording, cc []core.Config, h hooks) ([]*rangeOutcome, error) {
-	set, err := core.NewSet(cc)
-	if err != nil {
-		return nil, err
-	}
-	oc := newOutcome(set)
-	// Simulator asserts panic; the recover boundary turns them into
-	// errors so one corrupt replay cannot take down a whole sweep.
-	run := func() error { return replaySpan(ctx, set, stream{rec: rec}, 0, 1, h, nil, oc) }
-	if rerr := harness.Recover(run); rerr != nil {
-		return nil, fmt.Errorf("sim: batch replay aborted: %w", rerr)
-	}
-	return []*rangeOutcome{oc}, nil
 }
 
 // hooks are the access-count boundaries a measurement observes; zero
@@ -156,75 +114,37 @@ func (h hooks) next(n, end uint64, cancellable bool) uint64 {
 	return end
 }
 
-// stream is the access stream a replay walks, in chunks: the
-// recording's in-memory access columns as one chunk (serial), or its
-// compressed chunk stream (chunk-parallel).
-type stream struct {
-	rec *trace.Recording
-	ch  *trace.ChunkedRecording
+// outcome is what a replay pass observed at its hook boundaries, next
+// to the set that replayed it.
+type outcome struct {
+	set             *core.SystemSet
+	warm            []core.Stats // per-system stats at the warmup boundary; nil if never reached
+	fracSum, occSum []float64    // per-system FVC frequent-fraction / occupancy sums over samples
+	samples         int
 }
 
-// chunk returns chunk ci's access columns and the global index of its
-// first access, decoding compressed chunks into scratch.
-func (s stream) chunk(ci int, scratch *trace.ChunkScratch) (start uint64, ops []trace.Op, addrs, vals []uint32, err error) {
-	if s.ch == nil {
-		ops, addrs, vals = s.rec.AccessColumns()
-		return 0, ops, addrs, vals, nil
-	}
-	ops, addrs, vals, err = s.ch.DecodeChunk(ci, scratch)
-	obs.ReplayChunks.Inc()
-	return s.ch.ChunkStart(ci), ops, addrs, vals, err
+// newOutcome opens the outcome of a pass that the fresh set is about
+// to replay.
+func newOutcome(set *core.SystemSet) *outcome {
+	return &outcome{set: set, fracSum: make([]float64, set.Len()), occSum: make([]float64, set.Len())}
 }
 
-// rangeOutcome is what the replay of one contiguous range of the
-// stream observed: every hook observation inside it, in stream order,
-// and the set that replayed it, whose stats minus start are the
-// range's stats delta.
-type rangeOutcome struct {
-	set         *core.SystemSet
-	entry, exit core.SetState // canonical cache state at range start / end (parallel only)
-	start       []core.Stats  // per-system stats at range start
-	warmPart    []core.Stats  // per-system delta from range start to the warmup boundary; nil if outside
-	fracs, occs []float64     // k FVC frequent-fraction / occupancy values per sample boundary
-	samples     int
-}
-
-// newOutcome opens the outcome of a range that set — already
-// positioned at the range start (memory image and cache state) — is
-// about to replay.
-func newOutcome(set *core.SystemSet) *rangeOutcome {
-	oc := &rangeOutcome{set: set, start: make([]core.Stats, set.Len())}
-	for i, s := range set.Systems() {
-		oc.start[i] = s.Stats()
-	}
-	return oc
-}
-
-// replaySpan is the replay loop: it drives chunks [first, end) of src
-// through set, cutting the columns at every boundary hooks.next picks
-// (boundaries are global access indexes, so every range observes what
-// a single whole-stream replay would), checking ctx and recording each
-// boundary's observations into oc. With no hook armed oc may be nil:
-// the loop then only replays, allocation-free once scratch is warm.
-func replaySpan(ctx context.Context, set *core.SystemSet, src stream, first, end int, h hooks, scratch *trace.ChunkScratch, oc *rangeOutcome) error {
-	for ci := first; ci < end; ci++ {
-		start, ops, addrs, vals, err := src.chunk(ci, scratch)
-		if err != nil {
+// replaySpan is the replay loop: it drives the access columns through
+// oc's set, cutting them at every boundary hooks.next picks, checking
+// ctx and recording each boundary's observations into oc. With no
+// hook armed and a nil ctx the columns go through in one call.
+func replaySpan(ctx context.Context, ops []trace.Op, addrs, vals []uint32, h hooks, oc *outcome) error {
+	end := uint64(len(ops))
+	for n := uint64(0); n < end; {
+		if err := ctxErr(ctx, "replay"); err != nil {
 			return err
 		}
-		chunkEnd := start + uint64(len(ops))
-		for n := start; n < chunkEnd; {
-			if err := ctxErr(ctx, "replay"); err != nil {
+		next := h.next(n, end, ctx != nil)
+		oc.set.ReplayColumns(ops[n:next], addrs[n:next], vals[n:next])
+		n = next
+		if h != (hooks{}) {
+			if err := oc.observe(n, h); err != nil {
 				return err
-			}
-			next := h.next(n, chunkEnd, ctx != nil)
-			lo, hi := n-start, next-start
-			set.ReplayColumns(ops[lo:hi], addrs[lo:hi], vals[lo:hi])
-			n = next
-			if h != (hooks{}) {
-				if err := oc.observe(n, h); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -233,23 +153,20 @@ func replaySpan(ctx context.Context, set *core.SystemSet, src stream, first, end
 
 // observe records what boundary n sees: the warmup snapshot, one FVC
 // sample per system, and the periodic audit.
-func (oc *rangeOutcome) observe(n uint64, h hooks) error {
+func (oc *outcome) observe(n uint64, h hooks) error {
 	systems := oc.set.Systems()
 	if h.warmup > 0 && n == h.warmup {
-		oc.warmPart = make([]core.Stats, len(systems))
+		oc.warm = make([]core.Stats, len(systems))
 		for i, s := range systems {
-			oc.warmPart[i] = s.Stats().Minus(oc.start[i])
+			oc.warm[i] = s.Stats()
 		}
 	}
 	if h.sample > 0 && n%h.sample == 0 {
-		for _, s := range systems {
-			var frac, occ float64
+		for i, s := range systems {
 			if f := s.FVC(); f != nil {
-				frac = f.FrequentFraction()
-				occ = float64(f.ValidEntries()) / float64(f.Params().Entries)
+				oc.fracSum[i] += f.FrequentFraction()
+				oc.occSum[i] += float64(f.ValidEntries()) / float64(f.Params().Entries)
 			}
-			oc.fracs = append(oc.fracs, frac)
-			oc.occs = append(oc.occs, occ)
 		}
 		oc.samples++
 	}
@@ -263,49 +180,27 @@ func (oc *rangeOutcome) observe(n uint64, h hooks) error {
 	return nil
 }
 
-// merge folds the range outcomes, in stream order, into per-config
-// results: per-range stats deltas sum, the warmup snapshot is the sum
-// of the deltas before it, and FVC samples are summed in global
-// boundary order so float rounding matches a single running sum.
-// audit runs the final audit on the systems that replayed the
-// stream's tail.
-func merge(outcomes []*rangeOutcome, cc []core.Config, audit bool) ([]MeasureResult, error) {
-	k := len(cc)
-	total := make([]core.Stats, k)
-	warmAbs := make([]core.Stats, k)
-	fracSum := make([]float64, k)
-	occSum := make([]float64, k)
-	samples := 0
-	for _, oc := range outcomes {
-		if oc.warmPart != nil {
-			for i := range warmAbs {
-				warmAbs[i] = total[i].Plus(oc.warmPart[i])
-			}
-		}
-		for i, s := range oc.set.Systems() {
-			total[i] = total[i].Plus(s.Stats().Minus(oc.start[i]))
-		}
-		for s := 0; s < oc.samples; s++ {
-			for i := 0; i < k; i++ {
-				fracSum[i] += oc.fracs[s*k+i]
-				occSum[i] += oc.occs[s*k+i]
-			}
-		}
-		samples += oc.samples
-	}
+// results turns the finished pass into per-config results: stats net
+// of the warmup snapshot and FVC sample averages. audit runs the final
+// audit first.
+func (oc *outcome) results(cc []core.Config, audit bool) ([]MeasureResult, error) {
+	systems := oc.set.Systems()
 	if audit {
-		for i, s := range outcomes[len(outcomes)-1].set.Systems() {
+		for i, s := range systems {
 			if aerr := s.AuditInvariants(); aerr != nil {
 				return nil, fmt.Errorf("sim: final audit (config %d): %w", i, aerr)
 			}
 		}
 	}
-	out := make([]MeasureResult, k)
-	for i := range out {
-		out[i].Stats = total[i].Minus(warmAbs[i])
-		if samples > 0 && cc[i].FVC != nil {
-			out[i].FVCFreqFrac = fracSum[i] / float64(samples)
-			out[i].FVCOccupancy = occSum[i] / float64(samples)
+	out := make([]MeasureResult, len(cc))
+	for i, s := range systems {
+		out[i].Stats = s.Stats()
+		if oc.warm != nil {
+			out[i].Stats = out[i].Stats.Minus(oc.warm[i])
+		}
+		if oc.samples > 0 && cc[i].FVC != nil {
+			out[i].FVCFreqFrac = oc.fracSum[i] / float64(oc.samples)
+			out[i].FVCOccupancy = oc.occSum[i] / float64(oc.samples)
 		}
 	}
 	return out, nil

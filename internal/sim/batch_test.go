@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -139,7 +140,9 @@ func TestBatchReplayConcurrent(t *testing.T) {
 
 // TestBatchReplayZeroAllocs pins the fused loop's allocation behavior:
 // once the SystemSet is warm (shared pages materialized, cache frames
-// filled), a full batched replay must not allocate at all.
+// filled), a full batched replay must not allocate at all — neither
+// the bare ReplayColumns pass nor the driver's boundary loop
+// (replaySpan) cutting it at every context check.
 func TestBatchReplayZeroAllocs(t *testing.T) {
 	w, err := workload.Get("ccomp")
 	if err != nil {
@@ -163,6 +166,16 @@ func TestBatchReplayZeroAllocs(t *testing.T) {
 	set.ReplayColumns(ops, addrs, vals) // warm: pages and frames exist now
 	if allocs := testing.AllocsPerRun(3, func() { set.ReplayColumns(ops, addrs, vals) }); allocs > 0 {
 		t.Errorf("steady-state batched replay allocated %.0f times per pass, want 0", allocs)
+	}
+	ctx := context.Background()
+	oc := newOutcome(set)
+	span := func() {
+		if err := replaySpan(ctx, ops, addrs, vals, hooks{}, oc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, span); allocs > 0 {
+		t.Errorf("steady-state replaySpan allocated %.0f times per pass, want 0", allocs)
 	}
 }
 
@@ -229,5 +242,78 @@ func TestProfileCacheSingleflight(t *testing.T) {
 	small := c.TopAccessed(w, workload.Test, 3)
 	if len(small) > 0 && &small[0] != &got[0][0] {
 		t.Error("smaller k did not reuse the cached profile")
+	}
+}
+
+// TestParallelReplayEquivalence pins the deprecated Parallelism field
+// as a no-op: for every registered workload and every configuration
+// shape, a batch asking for any replay width returns the whole
+// MeasureResult bit-identical to the default serial replay.
+func TestParallelReplayEquivalence(t *testing.T) {
+	for _, w := range workload.All() {
+		w := w
+		t.Run(w.Name(), func(t *testing.T) {
+			t.Parallel()
+			rec, err := Recordings.Get(w, workload.Test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs := batchConfigs(w)
+			want, err := MeasureRecordedBatch(rec, cfgs, MeasureOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{1, 4} {
+				got, err := MeasureRecordedBatch(rec, cfgs, MeasureOptions{Parallelism: width})
+				if err != nil {
+					t.Fatalf("parallelism=%d: %v", width, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("parallelism=%d config %d: result diverges\ngot:  %+v\nwant: %+v",
+							width, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestParallelReplayHookParity checks that a hooked replay (warmup
+// exclusion, FVC sampling, audits, value verification) asking for a
+// replay width still matches the live Measure exactly.
+func TestParallelReplayHookParity(t *testing.T) {
+	w, err := workload.Get("ccomp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recordings.Get(w, workload.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := batchConfigs(w)
+	base := MeasureOptions{
+		WarmupAccesses: 10_000,
+		SampleEvery:    5_000,
+		AuditEvery:     50_000,
+		VerifyValues:   true,
+	}
+	for _, width := range []int{1, 3} {
+		opt := base
+		opt.Parallelism = width
+		got, err := MeasureRecordedBatch(rec, cfgs, opt)
+		if err != nil {
+			t.Fatalf("parallelism=%d: %v", width, err)
+		}
+		for i, cfg := range cfgs {
+			live, err := Measure(w, workload.Test, cfg, base)
+			if err != nil {
+				t.Fatalf("config %d: %v", i, err)
+			}
+			if got[i] != live {
+				t.Errorf("parallelism=%d config %d: hooked result diverges\ngot:  %+v\nlive: %+v",
+					width, i, got[i], live)
+			}
+		}
 	}
 }

@@ -60,23 +60,16 @@ type MeasureOptions struct {
 	// fvcached service wire per-request deadlines here.
 	Ctx context.Context
 
-	// Parallelism, when positive, replays MeasureRecordedBatch (and so
-	// MeasureRecorded) chunk-parallel: the recording's compressed chunk
-	// stream is partitioned into up to Parallelism contiguous ranges,
-	// each replayed by its own worker seeded from the nearest memory
-	// checkpoint, and the per-range outcomes are spliced at the seams.
-	// Results are bit-identical to the serial replay. Batches
-	// containing a configuration the engine cannot checkpoint (online
-	// FVT identification) fall back to the serial path. 0 (the
-	// default) replays serially over the in-memory access columns.
+	// Deprecated: Parallelism is ignored. Every replay runs as one
+	// serial pass over the recording's access columns.
 	Parallelism int
 }
 
 // cancelCheckEvery is how many accesses a cancellable replay drives
 // between context checks: coarse enough to keep the steady-state loops
-// allocation-free and branch-cheap, fine enough that a multi-second
-// batch replay honors a deadline within tens of milliseconds.
-const cancelCheckEvery = 1 << 20
+// allocation-free and branch-cheap, fine enough that a replay honors a
+// deadline within a few milliseconds.
+const cancelCheckEvery = 1 << 16
 
 // ctxErr returns the context's error wrapped as a measurement abort,
 // or nil. A nil ctx never cancels.

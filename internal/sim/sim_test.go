@@ -157,3 +157,49 @@ func TestMeasureCtxCancelled(t *testing.T) {
 		t.Errorf("ctx-chunked batch replay diverged: %+v != %+v", batch[0], want)
 	}
 }
+
+// countingCtx reports cancellation from its n-th Err call on, so a
+// test can stop a replay at a chosen context check.
+type countingCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (c *countingCtx) Err() error {
+	c.calls++
+	if c.cancelAt > 0 && c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReplayCancelCadence pins how often a cancellable replay checks
+// its context: once at entry and once per cancelCheckEvery accesses,
+// so a deadline lands within that many accesses of expiring.
+func TestReplayCancelCadence(t *testing.T) {
+	rec, err := Recordings.Get(wl(t, "goboard"), workload.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Main: cache.Params{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 1}}
+	checks := int((rec.Accesses() + cancelCheckEvery - 1) / cancelCheckEvery)
+	if checks < 3 {
+		t.Fatalf("recording has %d accesses, too few to cross two check boundaries", rec.Accesses())
+	}
+	ctx := &countingCtx{Context: context.Background()}
+	if _, err := MeasureRecorded(rec, cfg, MeasureOptions{Ctx: ctx}); err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + checks; ctx.calls != want {
+		t.Errorf("uncancelled replay checked ctx %d times, want %d", ctx.calls, want)
+	}
+	// Cancel at the third check: the entry check and the check before
+	// the first span pass, the check before the second span aborts.
+	ctx = &countingCtx{Context: context.Background(), cancelAt: 3}
+	if _, err := MeasureRecorded(rec, cfg, MeasureOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Errorf("replay cancelled mid-stream: err = %v, want context.Canceled", err)
+	}
+	if ctx.calls != 3 {
+		t.Errorf("replay checked ctx %d times after cancellation, want it to stop at 3", ctx.calls)
+	}
+}

@@ -28,9 +28,9 @@ type Recording struct {
 	// safe under concurrent replays of an immutable recording.
 	acc accessCols
 
-	// chunked caches compressed+checkpointed forms by chunk size (see
-	// Chunked). Guarded by chunkMu: unlike acc there can be several
-	// granularities alive at once.
+	// chunked caches compressed forms by chunk size (see Chunked).
+	// Guarded by chunkMu: unlike acc there can be several granularities
+	// alive at once.
 	chunkMu sync.Mutex
 	chunked map[int]*ChunkedRecording
 }
@@ -109,7 +109,7 @@ func (r *Recording) AccessColumns() (ops []Op, addrs, values []uint32) {
 	return r.acc.ops, r.acc.addrs, r.acc.vals
 }
 
-// Chunked returns the compressed, checkpointed form of the access
+// Chunked returns the compressed form of the access
 // columns at the given chunk granularity (<= 0 selects
 // DefaultChunkAccesses), building it on first use and caching it per
 // granularity thereafter. Safe for concurrent callers on an immutable
