@@ -23,36 +23,31 @@ lint-examples:
 
 # check is the full robustness gate (see ROADMAP.md "Tier-1 verify"):
 # vet, the examples import lint, build (with telemetry on and compiled
-# out), the race-enabled test suite (which includes the fvcached
-# service e2e tests: request coalescing, 429 backpressure, graceful
-# drain, deadlines, the circuit breaker, and the chaos detection
-# matrix over the durable result cache, concurrent batch replays over
-# one shared recording, the flight-recorder concurrency test,
-# the 3-node fleet suite and the cache-hit fast path), a short fuzz smoke
-# run over the hardened trace reader, the columnar chunk codec, and
-# the result-cache entry codec, the telemetry-overhead gate (the
-# steady-state replay loops — per-config, fused batch, and the
-# driver's boundary loop — and the result-cache hit path must stay
-# allocation-free with telemetry compiled in, and the exported
-# telemetry.json must validate end to end), the service smoke and
-# crash-recovery runs (boot fvcached, measure over HTTP, SIGKILL it
-# over a durable cache, restart, prove quarantine + bit-identical
-# recompute), a single-iteration pass over every benchmark so the
-# benchmark corpus cannot rot, and a sanity pass over the committed
-# sweep-engine artifact (it must parse, every speedup layer must hold
-# its threshold — including the analytic miss-rate-curve pass's 5x
-# bar over the ladder replay — the steady-state
-# allocation counts must be zero, the compression ratio must beat the
-# raw columns, and its telemetry snapshot must validate). The mrc
-# zero-alloc gate pins both analytic hot loops: the banked Mattson
-# stack update and the fused direct-mapped table walk. The request-
-# observability additions gate here too: an obsoff build + test of the
-# reqtrace layer, the span hot path's zero-alloc pin with telemetry
-# compiled in, a serveload smoke against a booted fvcached
-# (TestServeLoadSmoke), and schema validation of the committed
-# BENCH_serve.json artifact. The fleet additions gate here as well: an
-# obsoff build + test of the public api and client packages, and the
-# serveload -verify run also checks the fleet lane (forward ratio vs
+# out), then the race-enabled test suite. That one pass runs every
+# gate test exactly once: the fvcached service e2e tests (request
+# coalescing, 429 backpressure, graceful drain, deadlines, the circuit
+# breaker, the chaos detection matrix over the durable result cache,
+# concurrent batch replays over one shared recording, the
+# flight-recorder concurrency test, the 3-node fleet suite and the
+# cache-hit fast path); the telemetry-overhead gate (the steady-state
+# replay loops — per-config and fused batch — the chunk decoder, both
+# analytic miss-rate-curve hot loops, the result-cache hit path and
+# the request-span hot path must stay allocation-free with telemetry
+# compiled in, and the exported telemetry.json must validate end to
+# end); and the service smoke, crash-recovery and serveload smoke runs
+# (boot fvcached, measure over HTTP, SIGKILL it over a durable cache,
+# restart, prove quarantine + bit-identical recompute). After it come
+# the obsoff test runs of the telemetry, serving, engine and public
+# api/client packages plus the engine golden digest, short fuzz smokes
+# over the hardened trace reader, the columnar chunk codec and the
+# result-cache entry codec, a single-iteration pass over every
+# benchmark so the benchmark corpus cannot rot, and the -verify passes
+# over the committed artifacts: benchsweep checks BENCH_sweep.json
+# (every speedup layer holds its threshold — including the analytic
+# miss-rate-curve pass's 5x bar over the ladder replay — the
+# steady-state allocation counts are zero, the compression ratio beats
+# the raw columns, and its telemetry snapshot validates); serveload
+# checks BENCH_serve.json's schema, the fleet lane (forward ratio vs
 # (n-1)/n, single ownership, fleet hit ratio) and the hit fast path
 # (measure-hit p50 under 1ms, no hit trace waiting on a batch).
 check: vet lint-examples build
@@ -63,12 +58,6 @@ check: vet lint-examples build
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=5s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=5s
 	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=5s
-	$(GO) test -count=1 -run='TestReplayAccessPathZeroAllocs|TestBatchReplayZeroAllocs' ./internal/sim
-	$(GO) test -count=1 -run='TestChunkedDecodeZeroAllocsSteadyState' ./internal/trace
-	$(GO) test -count=1 -run='TestMRCSteadyZeroAllocs|TestMRCDMSteadyZeroAllocs' ./internal/mrc
-	$(GO) test -count=1 -run='TestResultCacheHitZeroAllocs' ./internal/resultcache
-	$(GO) test -count=1 -run='TestSpanHotPathZeroAllocs' ./internal/obs/reqtrace
-	$(GO) test -count=1 -run='TestTelemetry|TestServiceSmoke|TestCrashRecovery|TestServeLoadSmoke' .
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchsweep -verify BENCH_sweep.json
 	$(GO) run ./cmd/serveload -verify BENCH_serve.json

@@ -124,7 +124,7 @@ func run() (code int) {
 			fmt.Fprintln(os.Stderr, "fvcached:", err)
 			return harness.ExitUsage
 		}
-		obs.Log.Info("fleet membership", "self", fl.SelfURL(), "size", fmt.Sprint(fl.Size()))
+		obs.Log.Info("fleet membership", "self", fl.SelfURL(), "size", fl.Size())
 	}
 
 	sv := serve.New(serve.Options{

@@ -1154,7 +1154,7 @@ func verifyArtifact(path string) error {
 			fail("telemetry snapshot invalid: %v", err)
 		} else {
 			found := false
-			for name := range snap.Latencies {
+			for name := range snap.Histograms {
 				if strings.HasPrefix(name, "serve_latency_us{") {
 					found = true
 					break

@@ -307,19 +307,6 @@ func (f *FVC) InstallFootprint(lineAddr uint32, words []uint32) Entry {
 	return out
 }
 
-// InstallFootprintFast is InstallFootprint returning only the
-// displaced entry's accounting summary, with no allocation. It is the
-// variant the simulator's per-access path calls.
-func (f *FVC) InstallFootprintFast(lineAddr uint32, words []uint32) Displaced {
-	if len(words) != f.p.WordsPerLine() {
-		panic(fmt.Sprintf("fvc: footprint of %d words, want %d", len(words), f.p.WordsPerLine()))
-	}
-	e := f.victimWay(lineAddr)
-	out := f.displaced(e)
-	f.fillFootprint(e, lineAddr, words)
-	return out
-}
-
 // EncodeWords encodes words into codes (len(codes) == len(words)) and
 // reports whether any word is a frequent value. It lets the eviction
 // path encode a line exactly once: the caller decides (skip-empty

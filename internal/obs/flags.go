@@ -3,6 +3,7 @@ package obs
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -55,11 +56,11 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // Call after flag parsing; pair with Stop. A bad flag value returns an
 // error without starting anything.
 func (f *Flags) Start() error {
-	level, err := ParseLevel(f.LogLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(f.LogLevel)); err != nil {
+		return fmt.Errorf("obs: -log-level: %w", err)
 	}
-	Log.SetLevel(level)
+	setLogLevel(level)
 	if f.CPUProfile != "" {
 		cf, err := os.Create(f.CPUProfile)
 		if err != nil {

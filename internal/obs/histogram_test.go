@@ -9,55 +9,49 @@ import (
 )
 
 // TestQuantileOracle checks the HDR error guarantee against a
-// sorted-sample oracle: for every queried q, the histogram answer must
-// be >= the true sample quantile and within the configured relative
-// error above it.
+// sorted-sample oracle: every frozen quantile must be >= the true
+// sample quantile and within the histogram's relative error above it.
 func TestQuantileOracle(t *testing.T) {
 	if !Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
-	for _, sig := range []int{1, 2, 3} {
-		rng := rand.New(rand.NewSource(42))
-		h := NewQuantileHist(sig)
-		samples := make([]uint64, 0, 20000)
-		// Mix of distributions: uniform small, log-uniform wide, and a
-		// heavy tail — exercises unit-resolution and scaled buckets.
-		for i := 0; i < 5000; i++ {
-			v := uint64(rng.Intn(1000))
-			samples = append(samples, v)
-			h.Observe(v)
+	rng := rand.New(rand.NewSource(42))
+	h := new(Histogram)
+	samples := make([]uint64, 0, 15000)
+	// Mix of distributions: uniform small, log-uniform wide, and a
+	// heavy tail — exercises unit-resolution and scaled buckets.
+	for i := 0; i < 5000; i++ {
+		v := uint64(rng.Intn(1000))
+		samples = append(samples, v)
+		h.Observe(v)
+	}
+	for i := 0; i < 5000; i++ {
+		v := uint64(math.Exp(rng.Float64() * 20))
+		samples = append(samples, v)
+		h.Observe(v)
+	}
+	for i := 0; i < 5000; i++ {
+		v := uint64(1_000_000) + uint64(rng.Intn(50_000_000))
+		samples = append(samples, v)
+		h.Observe(v)
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	relErr := math.Pow(10, -histSigFigs)
+	s := h.freeze()
+	for _, c := range []struct {
+		q   float64
+		got uint64
+	}{{0.5, s.P50}, {0.9, s.P90}, {0.99, s.P99}, {0.999, s.P999}} {
+		oracle := samples[int(math.Ceil(c.q*float64(len(samples))))-1]
+		if c.got < oracle {
+			t.Errorf("q=%g: got %d < oracle %d", c.q, c.got, oracle)
 		}
-		for i := 0; i < 5000; i++ {
-			v := uint64(math.Exp(rng.Float64() * 20))
-			samples = append(samples, v)
-			h.Observe(v)
+		if bound := oracle + uint64(float64(oracle)*relErr) + 1; c.got > bound {
+			t.Errorf("q=%g: got %d > bound %d (oracle %d)", c.q, c.got, bound, oracle)
 		}
-		for i := 0; i < 5000; i++ {
-			v := uint64(1_000_000) + uint64(rng.Intn(50_000_000))
-			samples = append(samples, v)
-			h.Observe(v)
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		relErr := math.Pow(10, -float64(sig))
-		for _, q := range qs {
-			rank := int(math.Ceil(q * float64(len(samples))))
-			if rank < 1 {
-				rank = 1
-			}
-			oracle := samples[rank-1]
-			got := h.Quantile(q)
-			if got < oracle {
-				t.Errorf("sigfigs=%d q=%g: got %d < oracle %d", sig, q, got, oracle)
-			}
-			bound := oracle + uint64(float64(oracle)*relErr) + 1
-			if got > bound {
-				t.Errorf("sigfigs=%d q=%g: got %d > bound %d (oracle %d)", sig, q, got, bound, oracle)
-			}
-		}
-		if h.Count() != uint64(len(samples)) {
-			t.Errorf("sigfigs=%d: count %d, want %d", sig, h.Count(), len(samples))
-		}
+	}
+	if s.Count != uint64(len(samples)) || s.SigFigs != histSigFigs {
+		t.Errorf("count %d sigfigs %d, want %d and %d", s.Count, s.SigFigs, len(samples), histSigFigs)
 	}
 }
 
@@ -65,12 +59,14 @@ func TestQuantileOracle(t *testing.T) {
 // value must land in a bucket whose highest-equivalent bound is >= the
 // value and within relative error of it.
 func TestQuantileRoundTrip(t *testing.T) {
-	h := NewQuantileHist(2)
 	relErr := 0.01
 	for _, v := range []uint64{0, 1, 2, 99, 100, 127, 128, 255, 256, 1023, 1024,
-		12345, 1 << 20, 1<<30 + 7, QuantileMaxValue - 1, QuantileMaxValue} {
-		idx := h.countsIndex(v)
-		hi := h.highestEquivalent(idx)
+		12345, 1 << 20, 1<<30 + 7, histMax - 1, histMax} {
+		idx := countsIndex(v)
+		if idx >= histSlots {
+			t.Fatalf("v=%d: slot %d out of %d", v, idx, histSlots)
+		}
+		hi := highestEquivalent(idx)
 		if hi < v {
 			t.Errorf("v=%d: highestEquivalent %d < v", v, hi)
 		}
@@ -86,46 +82,13 @@ func TestQuantileClamp(t *testing.T) {
 	if !Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	h := NewQuantileHist(2)
+	h := new(Histogram)
 	h.Observe(math.MaxUint64)
 	if h.Count() != 1 {
 		t.Fatalf("count = %d, want 1", h.Count())
 	}
-	if got := h.Quantile(1); got < QuantileMaxValue {
-		t.Fatalf("Quantile(1) = %d, want >= %d", got, uint64(QuantileMaxValue))
-	}
-}
-
-// TestQuantileMerge checks that merging two histograms is equivalent
-// to observing the union, and that mismatched layouts are rejected.
-func TestQuantileMerge(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
-	rng := rand.New(rand.NewSource(7))
-	a, b, both := NewQuantileHist(2), NewQuantileHist(2), NewQuantileHist(2)
-	for i := 0; i < 4000; i++ {
-		v := uint64(math.Exp(rng.Float64() * 15))
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		both.Observe(v)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Count() != both.Count() || a.Sum() != both.Sum() {
-		t.Fatalf("merged count/sum %d/%d, want %d/%d", a.Count(), a.Sum(), both.Count(), both.Sum())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 1} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Errorf("q=%g: merged %d != union %d", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-	if err := a.Merge(NewQuantileHist(3)); err == nil {
-		t.Fatal("merging mismatched sigfigs succeeded, want error")
+	if got := h.freeze().P999; got < histMax {
+		t.Fatalf("p999 = %d, want >= %d", got, uint64(histMax))
 	}
 }
 
@@ -137,7 +100,7 @@ func TestQuantileSnapshotValid(t *testing.T) {
 		t.Skip("telemetry compiled out")
 	}
 	r := NewRegistry()
-	q := r.Quantile(Labeled("serve_latency_us", "endpoint", "measure"), 2)
+	q := r.Histogram(Labeled("serve_latency_us", "endpoint", "measure"))
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
 		q.Observe(uint64(math.Exp(rng.Float64() * 18)))
@@ -162,7 +125,7 @@ func TestQuantileSnapshotValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateSnapshot: %v", err)
 	}
-	ls, ok := parsed.Latencies[Labeled("serve_latency_us", "endpoint", "measure")]
+	ls, ok := parsed.Histograms[Labeled("serve_latency_us", "endpoint", "measure")]
 	if !ok {
 		t.Fatal("latency series missing from snapshot")
 	}

@@ -1,144 +1,34 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Level is a log severity.
-type Level int32
+// logLevel is Log's minimum level: warnings and up by default so
+// binaries stay quiet; the shared -log-level flag lowers it.
+var logLevel = new(slog.LevelVar)
 
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
+// Log is the process-wide structured logger: one JSON object per line
+// on stderr (time, level, msg and the caller's key/value fields).
+// Lines below the level are dropped before any formatting work.
+var Log = newLogger(os.Stderr)
 
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
+func init() { setLogLevel(slog.LevelWarn) }
+
+// newLogger returns a JSON-lines logger on w gated by logLevel.
+func newLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: logLevel}))
+}
+
+// setLogLevel sets Log's minimum level. With telemetry compiled out
+// (obsoff) the level sits above every level there is, so Log emits
+// nothing.
+func setLogLevel(l slog.Level) {
+	if !Enabled {
+		l = math.MaxInt
 	}
-	return fmt.Sprintf("level(%d)", int32(l))
-}
-
-// ParseLevel parses a -log-level flag value.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
-}
-
-// Logger writes structured JSON lines — one object per line with ts,
-// level, msg and the caller's alternating key/value fields. Lines
-// below the logger's level are dropped before any formatting work.
-// Safe for concurrent use.
-type Logger struct {
-	mu    sync.Mutex
-	w     io.Writer
-	level atomic.Int32
-}
-
-// NewLogger returns a logger writing to w at the given level.
-func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{w: w}
-	l.level.Store(int32(level))
-	return l
-}
-
-// Log is the process-wide logger. It defaults to warnings-and-up on
-// stderr so binaries stay quiet; the shared -log-level flag lowers it.
-var Log = NewLogger(os.Stderr, LevelWarn)
-
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
-
-// SetOutput redirects the logger (for tests).
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
-// Enabled reports whether a line at level would be emitted.
-func (l *Logger) Enabled(level Level) bool {
-	return Enabled && int32(level) >= l.level.Load()
-}
-
-// Debug emits a debug line.
-func (l *Logger) Debug(msg string, kv ...any) { l.emit(LevelDebug, msg, kv) }
-
-// Info emits an info line.
-func (l *Logger) Info(msg string, kv ...any) { l.emit(LevelInfo, msg, kv) }
-
-// Warn emits a warning line.
-func (l *Logger) Warn(msg string, kv ...any) { l.emit(LevelWarn, msg, kv) }
-
-// Error emits an error line.
-func (l *Logger) Error(msg string, kv ...any) { l.emit(LevelError, msg, kv) }
-
-// emit formats {"ts":…,"level":…,"msg":…, k:v, …} and writes it as
-// one line. Values marshal via encoding/json; an unmarshalable value
-// degrades to its fmt.Sprint form. A trailing key without a value gets
-// null.
-func (l *Logger) emit(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
-		return
-	}
-	buf := make([]byte, 0, 128)
-	buf = append(buf, `{"ts":"`...)
-	buf = time.Now().UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, level.String()...)
-	buf = append(buf, `","msg":`...)
-	buf = appendJSON(buf, msg)
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprint(kv[i])
-		}
-		buf = append(buf, ',')
-		buf = appendJSON(buf, key)
-		buf = append(buf, ':')
-		if i+1 < len(kv) {
-			buf = appendJSON(buf, kv[i+1])
-		} else {
-			buf = append(buf, "null"...)
-		}
-	}
-	buf = append(buf, '}', '\n')
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
-}
-
-// appendJSON appends v's JSON encoding, degrading to a quoted
-// fmt.Sprint on marshal failure so a log line never errors out.
-func appendJSON(buf []byte, v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return append(buf, b...)
+	logLevel.Set(l)
 }

@@ -2,23 +2,21 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // Snapshot-level merging: the fleet's /debug/metrics?fleet=1 view folds
 // every node's frozen telemetry snapshot into one. Counters and gauges
 // add; histograms merge bucket-wise, which is exact because all nodes
-// freeze the same bucket lattice (log2 buckets for Histogram, the
-// HDR layout for QuantileHist — same sigfigs ⇒ same highestEquivalent
-// bounds), so fleet-wide p99s are computed from true merged counts,
-// never by averaging per-node quantile estimates.
+// freeze the same HDR bucket lattice (same sigfigs ⇒ same
+// highestEquivalent bounds), so fleet-wide p99s are computed from true
+// merged counts, never by averaging per-node quantile estimates.
 
 // MergeSnapshots folds src into dst in place: counters and gauges sum,
-// histograms and latency histograms merge bucket-wise, and dst's
-// quantile headlines are recomputed from the merged buckets. dst keeps
-// its own phase tree and request traces (those are node-local
-// narratives, not additive metrics).
+// histograms merge bucket-wise, and dst's quantile headlines are
+// recomputed from the merged buckets. dst keeps its own phase tree and
+// request traces (those are node-local narratives, not additive
+// metrics).
 func MergeSnapshots(dst, src *Snapshot) error {
 	if src == nil {
 		return nil
@@ -39,17 +37,11 @@ func MergeSnapshots(dst, src *Snapshot) error {
 		dst.Histograms = map[string]HistogramSnapshot{}
 	}
 	for k, v := range src.Histograms {
-		dst.Histograms[k] = MergeHistogramSnapshots(dst.Histograms[k], v)
-	}
-	if len(src.Latencies) > 0 && dst.Latencies == nil {
-		dst.Latencies = map[string]QuantileSnapshot{}
-	}
-	for k, v := range src.Latencies {
-		m, err := MergeQuantileSnapshots(dst.Latencies[k], v)
+		m, err := mergeHistogram(dst.Histograms[k], v)
 		if err != nil {
-			return fmt.Errorf("obs: merging latency %q: %w", k, err)
+			return fmt.Errorf("obs: merging histogram %q: %w", k, err)
 		}
-		dst.Latencies[k] = m
+		dst.Histograms[k] = m
 	}
 	if src.UptimeMS > dst.UptimeMS {
 		dst.UptimeMS = src.UptimeMS
@@ -57,26 +49,12 @@ func MergeSnapshots(dst, src *Snapshot) error {
 	return nil
 }
 
-// MergeHistogramSnapshots returns the exact bucket-wise merge of two
-// frozen histograms (both on the shared log2 lattice).
-func MergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	out := HistogramSnapshot{Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
-	out.Buckets = mergeBuckets(a.Buckets, b.Buckets)
-	return out
-}
-
-// MergeQuantileSnapshots returns the exact bucket-wise merge of two
-// frozen quantile histograms and recomputes the headline quantiles
-// from the merged cumulative counts. Errors when the inputs were
-// recorded at different precisions (different sigfigs ⇒ different
-// bucket lattices ⇒ the merge would be lossy).
-func MergeQuantileSnapshots(a, b QuantileSnapshot) (QuantileSnapshot, error) {
+// mergeHistogram returns the exact bucket-wise merge of two frozen
+// histograms and recomputes the headline quantiles from the merged
+// cumulative counts. Errors when the inputs were recorded at different
+// precisions (different sigfigs ⇒ different bucket lattices ⇒ the
+// merge would be lossy) — a peer's snapshot is outside input.
+func mergeHistogram(a, b HistogramSnapshot) (HistogramSnapshot, error) {
 	if a.Count == 0 {
 		return b, nil
 	}
@@ -84,27 +62,11 @@ func MergeQuantileSnapshots(a, b QuantileSnapshot) (QuantileSnapshot, error) {
 		return a, nil
 	}
 	if a.SigFigs != b.SigFigs {
-		return QuantileSnapshot{}, fmt.Errorf("sigfigs mismatch (%d vs %d)", a.SigFigs, b.SigFigs)
+		return HistogramSnapshot{}, fmt.Errorf("sigfigs mismatch (%d vs %d)", a.SigFigs, b.SigFigs)
 	}
-	out := QuantileSnapshot{SigFigs: a.SigFigs, Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
+	out := HistogramSnapshot{SigFigs: a.SigFigs, Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
 	out.Buckets = mergeBuckets(a.Buckets, b.Buckets)
-
-	// Recompute the headline quantiles exactly as QuantileHist.freeze
-	// does: the ceil(q*n)-th observation's bucket bound.
-	ranks := [4]uint64{
-		uint64(math.Ceil(0.50 * float64(out.Count))),
-		uint64(math.Ceil(0.90 * float64(out.Count))),
-		uint64(math.Ceil(0.99 * float64(out.Count))),
-		uint64(math.Ceil(0.999 * float64(out.Count))),
-	}
-	qs := [4]*uint64{&out.P50, &out.P90, &out.P99, &out.P999}
-	next := 0
-	for _, bk := range out.Buckets {
-		for next < len(ranks) && bk.Count >= max64(ranks[next], 1) {
-			*qs[next] = bk.Le
-			next++
-		}
-	}
+	out.setQuantiles()
 	return out, nil
 }
 

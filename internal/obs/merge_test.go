@@ -9,9 +9,7 @@ import (
 // histogram that observed the union — the property the fleet metrics
 // aggregation relies on.
 func TestMergeQuantileSnapshotsExact(t *testing.T) {
-	a := NewQuantileHist(2)
-	b := NewQuantileHist(2)
-	union := NewQuantileHist(2)
+	a, b, union := new(Histogram), new(Histogram), new(Histogram)
 	for i := uint64(1); i <= 2000; i++ {
 		v := i * i % 100003
 		if i%2 == 0 {
@@ -21,7 +19,7 @@ func TestMergeQuantileSnapshotsExact(t *testing.T) {
 		}
 		union.Observe(v)
 	}
-	merged, err := MergeQuantileSnapshots(a.freeze(), b.freeze())
+	merged, err := mergeHistogram(a.freeze(), b.freeze())
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -35,39 +33,21 @@ func TestMergeQuantileSnapshotsEmptyAndMismatch(t *testing.T) {
 	if !Enabled {
 		t.Skip("histograms no-op under obsoff; nothing to merge")
 	}
-	h := NewQuantileHist(2)
+	h := new(Histogram)
 	h.Observe(42)
 	snap := h.freeze()
 
-	if got, err := MergeQuantileSnapshots(QuantileSnapshot{}, snap); err != nil || !reflect.DeepEqual(got, snap) {
+	if got, err := mergeHistogram(HistogramSnapshot{}, snap); err != nil || !reflect.DeepEqual(got, snap) {
 		t.Fatalf("empty+snap should return snap, got %+v err %v", got, err)
 	}
-	if got, err := MergeQuantileSnapshots(snap, QuantileSnapshot{}); err != nil || !reflect.DeepEqual(got, snap) {
+	if got, err := mergeHistogram(snap, HistogramSnapshot{}); err != nil || !reflect.DeepEqual(got, snap) {
 		t.Fatalf("snap+empty should return snap, got %+v err %v", got, err)
 	}
-	other := NewQuantileHist(3)
-	other.Observe(42)
-	if _, err := MergeQuantileSnapshots(snap, other.freeze()); err == nil {
+	// A peer recorded at another precision is on another bucket lattice.
+	other := snap
+	other.SigFigs = histSigFigs + 1
+	if _, err := mergeHistogram(snap, other); err == nil {
 		t.Fatal("sigfigs mismatch must error")
-	}
-}
-
-func TestMergeHistogramSnapshots(t *testing.T) {
-	a := new(Histogram)
-	b := new(Histogram)
-	union := new(Histogram)
-	for i := uint64(0); i < 500; i++ {
-		v := i * 37 % 4096
-		if i%3 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		union.Observe(v)
-	}
-	merged := MergeHistogramSnapshots(a.freeze(), b.freeze())
-	if want := union.freeze(); !reflect.DeepEqual(merged, want) {
-		t.Fatalf("merged differs from union:\n got %+v\nwant %+v", merged, want)
 	}
 }
 
@@ -92,5 +72,13 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	if a.UptimeMS != 99 {
 		t.Fatalf("uptime should take the max, got %d", a.UptimeMS)
+	}
+	// A peer histogram recorded at another precision must be refused.
+	h := HistogramSnapshot{SigFigs: histSigFigs, Count: 1, Sum: 5, Buckets: []Bucket{{Le: 5, Count: 1}}}
+	peer := h
+	peer.SigFigs++
+	a.Histograms = map[string]HistogramSnapshot{"h": h}
+	if err := MergeSnapshots(a, &Snapshot{Histograms: map[string]HistogramSnapshot{"h": peer}}); err == nil {
+		t.Fatal("merging a histogram at another precision must fail")
 	}
 }

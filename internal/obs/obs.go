@@ -1,24 +1,25 @@
 // Package obs is the repo's low-overhead telemetry layer: a metrics
-// registry (atomic counters, gauges, bounded histograms), phase/span
-// timing that builds a per-run phase tree, structured leveled
-// JSON-lines logging, profiling hooks (-cpuprofile, -memprofile,
-// -trace, -pprof-addr) and a snapshot exporter that serializes the
-// whole registry to a machine-diffable telemetry.json artifact (or
-// Prometheus text format on demand).
+// registry (atomic counters, gauges and exact, mergeable HDR
+// histograms), phase/span timing that builds a per-run phase tree,
+// structured JSON-lines logging through log/slog, profiling hooks
+// (-cpuprofile, -memprofile, -trace, -pprof-addr) and a snapshot
+// exporter that serializes the whole registry to a machine-diffable
+// telemetry.json artifact (or Prometheus text format on demand).
 //
 // Design constraints, in order:
 //
 //  1. The simulator's steady-state replay loops are allocation-free
 //     and must stay that way with telemetry compiled in. Hot paths
-//     therefore never record per-event: instrumentation sits at chunk
-//     boundaries (one atomic add per replayed column chunk), and the
-//     well-known metrics below are package-level variables so the hot
-//     code pays no registry lookup.
+//     therefore never record per event: instrumentation sits at replay
+//     boundaries (a few atomic adds per replay or fused-batch chunk),
+//     and the well-known metrics below are package-level variables so
+//     the hot code pays no registry lookup.
 //  2. Telemetry compiles to no-ops when disabled: every mutator is
 //     guarded by the compile-time Enabled constant (see the obsoff
 //     build tag), so a disabled build dead-code-eliminates the
-//     instrumentation entirely.
-//  3. Everything is bounded: histograms have a fixed bucket count,
+//     instrumentation entirely, and the logger's level is set above
+//     every level so it writes nothing.
+//  3. Everything is bounded: a histogram is a fixed array of counters,
 //     span trees cap their fan-out and count what they drop, and the
 //     logger drops below-level lines before formatting them.
 //

@@ -7,6 +7,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -38,24 +39,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if want := uint64(0+1+2+3+100) + 1<<40; h.Sum() != want {
 		t.Errorf("hist sum = %d, want %d", h.Sum(), want)
-	}
-}
-
-func TestHistogramFreezeCumulative(t *testing.T) {
-	var h Histogram
-	h.Observe(0) // le 0
-	h.Observe(1) // le 1
-	h.Observe(1)
-	h.Observe(7) // le 7
-	s := h.freeze()
-	want := []Bucket{{Le: 0, Count: 1}, {Le: 1, Count: 3}, {Le: 7, Count: 4}}
-	if len(s.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v, want %+v", s.Buckets, want)
-	}
-	for i, b := range want {
-		if s.Buckets[i] != b {
-			t.Errorf("bucket %d = %+v, want %+v", i, s.Buckets[i], b)
-		}
 	}
 }
 
@@ -152,7 +135,9 @@ func TestSpanDuration(t *testing.T) {
 
 func TestLoggerLevelsAndJSON(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
+	l := newLogger(&buf)
+	setLogLevel(slog.LevelInfo)
+	defer setLogLevel(slog.LevelWarn)
 	l.Debug("dropped")
 	l.Info("kept", "k", 1, "s", "v")
 	l.Error("bad", "err", "boom")
@@ -164,36 +149,29 @@ func TestLoggerLevelsAndJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("line not JSON: %v: %s", err, lines[0])
 	}
-	if first["level"] != "info" || first["msg"] != "kept" || first["k"] != float64(1) || first["s"] != "v" {
+	if first["level"] != "INFO" || first["msg"] != "kept" || first["k"] != float64(1) || first["s"] != "v" {
 		t.Errorf("line fields = %v", first)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, first["ts"].(string)); err != nil {
-		t.Errorf("bad ts: %v", err)
+	if ts, _ := first["time"].(string); ts == "" {
+		t.Errorf("line has no time: %v", first)
+	} else if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Errorf("bad time: %v", err)
 	}
 }
 
 func TestLoggerOddKVAndNonStringKey(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug)
-	l.Info("odd", "tail")
-	l.Info("numkey", 42, "v")
+	l := newLogger(&buf)
+	// Built at run time, so vet's static key/value check cannot catch
+	// them: a malformed pair must still yield one JSON line.
+	for _, kv := range [][]any{{"tail"}, {42, "v"}} {
+		l.Warn("malformed", kv...)
+	}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Errorf("line not JSON: %v: %s", err, line)
 		}
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn, "warning": LevelWarn, "error": LevelError} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel must reject unknown levels")
 	}
 }
 

@@ -7,6 +7,7 @@ package obs
 
 import (
 	"bytes"
+	"log/slog"
 	"testing"
 )
 
@@ -43,8 +44,8 @@ func TestDisabledSpansAndLogs(t *testing.T) {
 		t.Errorf("disabled span tree has %d children, want 0", n)
 	}
 	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelDebug)
-	lg.Error("should be dropped", "k", "v")
+	setLogLevel(slog.LevelDebug)
+	newLogger(&buf).Error("should be dropped", "k", "v")
 	if buf.Len() != 0 {
 		t.Errorf("disabled logger wrote %q", buf.String())
 	}

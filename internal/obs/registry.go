@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,37 +41,6 @@ func (g *Gauge) Set(v float64) {
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// HistogramBuckets is the fixed bucket count of every Histogram: one
-// bucket per bit length of the observed value, so bucket i counts
-// observations in [2^(i-1), 2^i). Bounded by construction — a
-// histogram can never grow, whatever it observes.
-const HistogramBuckets = 65
-
-// Histogram is a bounded log2-bucketed histogram of uint64
-// observations (durations in milliseconds, sizes, counts). Lock-free:
-// each Observe is two atomic adds.
-type Histogram struct {
-	counts [HistogramBuckets]atomic.Uint64
-	sum    atomic.Uint64
-	n      atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	if !Enabled {
-		return
-	}
-	h.counts[bits.Len64(v)].Add(1)
-	h.sum.Add(v)
-	h.n.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
 // Registry holds named metrics and the run's phase tree. Metric
 // accessors are get-or-create and idempotent, so packages may resolve
 // the same name independently; hot paths should resolve once (package
@@ -82,7 +50,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	quants   map[string]*QuantileHist
 	// reqTraces, when set, supplies recent per-request traces for the
 	// snapshot (a provider hook rather than a direct dependency, so the
 	// flight recorder can live above this package).
@@ -98,7 +65,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		quants:   map[string]*QuantileHist{},
 		root:     &Span{name: "run", start: now},
 		start:    now,
 	}
@@ -140,21 +106,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Quantile returns the named exact-quantile histogram, creating it
-// with the given significant digits on first use. Subsequent lookups
-// return the existing histogram regardless of sigfigs — the first
-// registration wins, keeping the layout stable for merging.
-func (r *Registry) Quantile(name string, sigfigs int) *QuantileHist {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q := r.quants[name]
-	if q == nil {
-		q = NewQuantileHist(sigfigs)
-		r.quants[name] = q
-	}
-	return q
-}
-
 // SetRequestTraces installs the provider of recent request traces
 // included in snapshots (the flight recorder's export hook). Pass nil
 // to detach.
@@ -183,14 +134,7 @@ func (r *Registry) Reset() {
 		g.bits.Store(0)
 	}
 	for _, h := range r.hists {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.sum.Store(0)
-		h.n.Store(0)
-	}
-	for _, q := range r.quants {
-		q.reset()
+		h.reset()
 	}
 	r.start = time.Now()
 	r.root = &Span{name: "run", start: r.start}

@@ -12,7 +12,7 @@ import (
 
 // SnapshotSchema identifies the telemetry.json format. Bump on
 // incompatible changes; ValidateSnapshot rejects other schemas.
-const SnapshotSchema = "fvcache-telemetry/v1"
+const SnapshotSchema = "fvcache-telemetry/v2"
 
 // Snapshot is a frozen, serializable view of a Registry: every
 // counter, gauge and histogram plus the run's phase tree. It is what
@@ -22,14 +22,13 @@ type Snapshot struct {
 	Schema     string    `json:"schema"`
 	CapturedAt time.Time `json:"captured_at"`
 	// UptimeMS is the registry's age at capture (root span duration).
-	UptimeMS   int64                        `json:"uptime_ms"`
-	Counters   map[string]uint64            `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
+	UptimeMS int64              `json:"uptime_ms"`
+	Counters map[string]uint64  `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
+	// Histograms holds every histogram, keyed by name (Labeled names
+	// pass through).
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	// Latencies holds the exact-quantile (HDR-style) histograms, keyed
-	// like Histograms (Labeled names pass through).
-	Latencies map[string]QuantileSnapshot `json:"latencies,omitempty"`
-	Phases    *PhaseNode                  `json:"phases"`
+	Phases     *PhaseNode                   `json:"phases"`
 	// Requests holds recent per-request span trees from the flight
 	// recorder, newest first, when a provider is installed (at most
 	// maxSnapshotRequests of them, however large the live ring is).
@@ -41,10 +40,12 @@ type Snapshot struct {
 // flight recorder is sized for deep /debug/requests history.
 const maxSnapshotRequests = 256
 
-// QuantileSnapshot is one QuantileHist frozen: headline quantiles plus
+// HistogramSnapshot is one Histogram frozen: headline quantiles plus
 // the cumulative non-empty buckets (Le = highest value equivalent to
-// the bucket, so bounds are strictly increasing).
-type QuantileSnapshot struct {
+// the bucket, so bounds are strictly increasing). SigFigs records the
+// precision the buckets were cut at, so a merge can refuse a peer
+// recorded on another lattice.
+type HistogramSnapshot struct {
 	SigFigs int      `json:"sigfigs"`
 	Count   uint64   `json:"count"`
 	Sum     uint64   `json:"sum"`
@@ -81,16 +82,8 @@ type RequestSpan struct {
 	DurationUS int64  `json:"duration_us"`
 }
 
-// HistogramSnapshot is one histogram's frozen buckets. Buckets are
-// cumulative Prometheus-style: Count(le) observations were <= Le.
-// Zero-count prefixes/suffixes are trimmed.
-type HistogramSnapshot struct {
-	Count   uint64   `json:"count"`
-	Sum     uint64   `json:"sum"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// Bucket is one cumulative histogram bucket.
+// Bucket is one cumulative histogram bucket: Count observations were
+// <= Le.
 type Bucket struct {
 	Le    uint64 `json:"le"` // upper bound, inclusive
 	Count uint64 `json:"count"`
@@ -127,12 +120,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = h.freeze()
 	}
-	if len(r.quants) > 0 {
-		s.Latencies = make(map[string]QuantileSnapshot, len(r.quants))
-		for name, q := range r.quants {
-			s.Latencies[name] = q.freeze()
-		}
-	}
 	reqFn := r.reqTraces
 	root := r.root
 	r.mu.Unlock()
@@ -147,26 +134,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	s.Phases = root.snapshot(now)
 	return s
-}
-
-// freeze converts the histogram's per-bit buckets into cumulative
-// (le, count) pairs, dropping empty buckets.
-func (h *Histogram) freeze() HistogramSnapshot {
-	out := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		cum += n
-		le := uint64(1)<<uint(i) - 1 // bits.Len64(v) == i  ⇒  v <= 2^i - 1
-		if i == 0 {
-			le = 0
-		}
-		out.Buckets = append(out.Buckets, Bucket{Le: le, Count: cum})
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.
@@ -202,9 +169,10 @@ func WriteSnapshotFile(path string, r *Registry) error {
 
 // ValidateSnapshot parses data as a telemetry snapshot and checks its
 // schema: the schema id must match, the capture time must be set, the
-// phase tree must be rooted and every histogram's cumulative buckets
-// must be monotonic in both bound and count. Returns the parsed
-// snapshot so callers can assert on contents.
+// phase tree must be rooted, and every histogram must carry a sane
+// sigfigs, cumulative buckets monotonic in both bound and count, and
+// ordered quantiles. Returns the parsed snapshot so callers can assert
+// on contents.
 func ValidateSnapshot(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -226,6 +194,9 @@ func ValidateSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	for name, h := range s.Histograms {
+		if h.SigFigs < 1 || h.SigFigs > 5 {
+			return nil, fmt.Errorf("obs: histogram %q has sigfigs %d outside [1,5]", name, h.SigFigs)
+		}
 		var prevLe, prevCount uint64
 		for i, b := range h.Buckets {
 			if i > 0 && (b.Le <= prevLe || b.Count < prevCount) {
@@ -237,25 +208,9 @@ func ValidateSnapshot(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("obs: histogram %q cumulative count %d != count %d",
 				name, h.Buckets[n-1].Count, h.Count)
 		}
-	}
-	for name, q := range s.Latencies {
-		if q.SigFigs < 1 || q.SigFigs > 5 {
-			return nil, fmt.Errorf("obs: latency %q has sigfigs %d outside [1,5]", name, q.SigFigs)
-		}
-		var prevLe, prevCount uint64
-		for i, b := range q.Buckets {
-			if i > 0 && (b.Le <= prevLe || b.Count < prevCount) {
-				return nil, fmt.Errorf("obs: latency %q buckets not monotonic at le=%d", name, b.Le)
-			}
-			prevLe, prevCount = b.Le, b.Count
-		}
-		if n := len(q.Buckets); n > 0 && q.Buckets[n-1].Count != q.Count {
-			return nil, fmt.Errorf("obs: latency %q cumulative count %d != count %d",
-				name, q.Buckets[n-1].Count, q.Count)
-		}
-		if q.Count > 0 && (q.P50 > q.P90 || q.P90 > q.P99 || q.P99 > q.P999) {
-			return nil, fmt.Errorf("obs: latency %q quantiles not monotonic (p50=%d p90=%d p99=%d p999=%d)",
-				name, q.P50, q.P90, q.P99, q.P999)
+		if h.Count > 0 && (h.P50 > h.P90 || h.P90 > h.P99 || h.P99 > h.P999) {
+			return nil, fmt.Errorf("obs: histogram %q quantiles not monotonic (p50=%d p90=%d p99=%d p999=%d)",
+				name, h.P50, h.P90, h.P99, h.P999)
 		}
 	}
 	for i := range s.Requests {
@@ -335,20 +290,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "%s_bucket%s %d\n", base, promLe(labels, "+Inf"), h.Count)
 		fmt.Fprintf(&b, "%s_sum%s %d\n%s_count%s %d\n", base, promSuffix(labels), h.Sum, base, promSuffix(labels), h.Count)
-	}
-	typed = ""
-	for _, name := range names(s.Latencies) {
-		q := s.Latencies[name]
-		base, labels := promSplit(name)
-		if base != typed {
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", base)
-			typed = base
-		}
-		for _, bk := range q.Buckets {
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", base, promLe(labels, strconv.FormatUint(bk.Le, 10)), bk.Count)
-		}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", base, promLe(labels, "+Inf"), q.Count)
-		fmt.Fprintf(&b, "%s_sum%s %d\n%s_count%s %d\n", base, promSuffix(labels), q.Sum, base, promSuffix(labels), q.Count)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -6,10 +6,13 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,11 +58,21 @@ func TestValidateSnapshotRejects(t *testing.T) {
 	good, _ := json.Marshal(populated().Snapshot())
 	cases := map[string]func(m map[string]json.RawMessage){
 		"wrong schema": func(m map[string]json.RawMessage) { m["schema"] = json.RawMessage(`"other/v9"`) },
-		"no phases":    func(m map[string]json.RawMessage) { m["phases"] = json.RawMessage(`null`) },
-		"no capture":   func(m map[string]json.RawMessage) { m["captured_at"] = json.RawMessage(`"0001-01-01T00:00:00Z"`) },
-		"neg uptime":   func(m map[string]json.RawMessage) { m["uptime_ms"] = json.RawMessage(`-5`) },
+		// The previous schema carried the old log2 histogram shape.
+		"v1 schema": func(m map[string]json.RawMessage) {
+			m["schema"] = json.RawMessage(strconv.Quote(strings.Replace(SnapshotSchema, "/v2", "/v1", 1)))
+		},
+		"no phases":  func(m map[string]json.RawMessage) { m["phases"] = json.RawMessage(`null`) },
+		"no capture": func(m map[string]json.RawMessage) { m["captured_at"] = json.RawMessage(`"0001-01-01T00:00:00Z"`) },
+		"neg uptime": func(m map[string]json.RawMessage) { m["uptime_ms"] = json.RawMessage(`-5`) },
 		"bad buckets": func(m map[string]json.RawMessage) {
-			m["histograms"] = json.RawMessage(`{"h":{"count":2,"sum":3,"buckets":[{"le":5,"count":2},{"le":3,"count":1}]}}`)
+			m["histograms"] = json.RawMessage(`{"h":{"sigfigs":2,"count":2,"sum":3,"buckets":[{"le":5,"count":2},{"le":3,"count":1}]}}`)
+		},
+		"no sigfigs": func(m map[string]json.RawMessage) {
+			m["histograms"] = json.RawMessage(`{"h":{"count":1,"sum":3,"buckets":[{"le":3,"count":1}]}}`)
+		},
+		"bad quantiles": func(m map[string]json.RawMessage) {
+			m["histograms"] = json.RawMessage(`{"h":{"sigfigs":2,"count":1,"sum":3,"p50":9,"p90":3,"buckets":[{"le":3,"count":1}]}}`)
 		},
 	}
 	for name, corrupt := range cases {
@@ -131,8 +144,8 @@ func TestFlagsRegisterStartStop(t *testing.T) {
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer Log.SetLevel(LevelWarn)
-	if Log.Enabled(LevelWarn) {
+	defer setLogLevel(slog.LevelWarn)
+	if Log.Enabled(context.Background(), slog.LevelWarn) {
 		t.Error("log level must have been raised to error")
 	}
 	if err := f.Stop(); err != nil {

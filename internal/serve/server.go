@@ -64,7 +64,6 @@ var (
 	batchesTotal   = obs.Default.Counter("serve_batches_total")
 	coalescedTotal = obs.Default.Counter("serve_coalesced_requests_total")
 	batchConfigs   = obs.Default.Histogram("serve_batch_configs")
-	requestMS      = obs.Default.Histogram("serve_request_ms")
 	queueDepth     = obs.Default.Gauge("serve_queue_depth")
 	inflightReqs   = obs.Default.Gauge("serve_inflight_requests")
 

@@ -17,11 +17,6 @@ import (
 	"fvcache/internal/obs/reqtrace"
 )
 
-// latencySigFigs is the precision of the serving-path quantile
-// histograms: two significant digits (1% relative error) — tight
-// enough to act on, cheap enough to keep always-on.
-const latencySigFigs = 2
-
 // Serving stages whose durations feed the serve_stage_us{stage=...}
 // quantile series (the per-stage time attribution BENCH_serve.json
 // reports): parse, cache_probe and encode once per request; the
@@ -36,20 +31,22 @@ var (
 	stageForwardUS  = stageSeries("forward")
 )
 
-func stageSeries(stage string) *obs.QuantileHist {
-	return obs.Default.Quantile(obs.Labeled("serve_stage_us", "stage", stage), latencySigFigs)
+func stageSeries(stage string) *obs.Histogram {
+	return obs.Default.Histogram(obs.Labeled("serve_stage_us", "stage", stage))
 }
 
 // latencySeries pre-registers the endpoint × outcome quantile matrix
 // so handler hot paths pay a map lookup, not a registry mutex +
-// format. Unknown combinations fall back to outcome="error".
-var latencySeries = func() map[string]map[string]*obs.QuantileHist {
-	m := make(map[string]map[string]*obs.QuantileHist)
-	for _, ep := range []string{"measure", "mrc", "sweep"} {
-		byOutcome := make(map[string]*obs.QuantileHist)
+// format. Unknown combinations fall back to outcome="error". Every
+// endpoint that opens a trace has a row, so every tracked request is
+// counted (workloads and artifacts only trace their 405s).
+var latencySeries = func() map[string]map[string]*obs.Histogram {
+	m := make(map[string]map[string]*obs.Histogram)
+	for _, ep := range []string{"measure", "mrc", "sweep", "workloads", "artifacts"} {
+		byOutcome := make(map[string]*obs.Histogram)
 		for _, out := range []string{"hit", "coalesced", "executed", "forwarded", "429", "503", "504", "error"} {
 			name := fmt.Sprintf(`serve_latency_us{endpoint=%q,outcome=%q}`, ep, out)
-			byOutcome[out] = obs.Default.Quantile(name, latencySigFigs)
+			byOutcome[out] = obs.Default.Histogram(name)
 		}
 		m[ep] = byOutcome
 	}
@@ -110,7 +107,6 @@ func (t *reqTrack) finish(status int, class string) {
 	}
 	t.done = true
 	elapsed := time.Since(t.start)
-	requestMS.Observe(uint64(elapsed.Milliseconds()))
 	outcome := outcomeFor(status, class)
 	if byOutcome, ok := latencySeries[t.endpoint]; ok {
 		h := byOutcome[outcome]
@@ -125,8 +121,8 @@ func (t *reqTrack) finish(status int, class string) {
 	t.tr.SetOutcome(status, outcome)
 	t.s.rec.Finish(t.tr)
 	obs.Log.Debug("request",
-		"id", id, "endpoint", t.endpoint, "status", fmt.Sprint(status),
-		"outcome", outcome, "us", fmt.Sprint(elapsed.Microseconds()))
+		"id", id, "endpoint", t.endpoint, "status", status,
+		"outcome", outcome, "us", elapsed.Microseconds())
 }
 
 // fail renders err with the status's default retry semantics (trace ID
@@ -169,7 +165,7 @@ func observeBatchStages(b *batch) {
 	observeStage(stageReplayUS, b.execStart, b.replayDone)
 }
 
-func observeStage(h *obs.QuantileHist, start, end time.Time) {
+func observeStage(h *obs.Histogram, start, end time.Time) {
 	if start.IsZero() || end.IsZero() || end.Before(start) {
 		return
 	}

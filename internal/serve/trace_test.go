@@ -320,3 +320,64 @@ func TestMRCSummaryCarriesTraceID(t *testing.T) {
 		t.Error("mrc response carries no X-Request-Id")
 	}
 }
+
+// TestServeHistogramsExactAndMergeable pins the one histogram type on
+// the serving path: the batch-size, sweep-task and request-latency
+// series (including a 405 on a GET-only endpoint) all export exact
+// quantiles, and folding a peer's snapshot in adds every bucket count.
+func TestServeHistogramsExactAndMergeable(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("telemetry compiled out")
+	}
+	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	if resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("measure: status %d (%s)", resp.StatusCode, data)
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/sweep", `{"artifacts":["tab1"],"scale":"test"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d (%s)", resp.StatusCode, data)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/workloads", `{}`); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/workloads: status %d, want 405", resp.StatusCode)
+	}
+
+	series := []string{
+		"serve_batch_configs",
+		"sweep_task_ms",
+		`serve_latency_us{endpoint="workloads",outcome="error"}`,
+	}
+	local := obs.Default.Snapshot()
+	for _, name := range series {
+		if h, ok := local.Histograms[name]; !ok || h.Count == 0 || h.P99 == 0 {
+			t.Errorf("%s: histogram %+v (present %v), want observations and a non-zero p99", name, h, ok)
+		}
+	}
+
+	// A peer's snapshot arrives as JSON; merging it must double every
+	// count exactly and leave the quantiles where they were.
+	raw, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged, peer obs.Snapshot
+	if err := json.Unmarshal(raw, &merged); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &peer); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.MergeSnapshots(&merged, &peer); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range series {
+		got, want := merged.Histograms[name], local.Histograms[name]
+		if got.Count != 2*want.Count || got.Sum != 2*want.Sum || got.P99 != want.P99 || len(got.Buckets) != len(want.Buckets) {
+			t.Errorf("%s: merged %+v from %+v", name, got, want)
+			continue
+		}
+		for i, b := range got.Buckets {
+			if b.Le != want.Buckets[i].Le || b.Count != 2*want.Buckets[i].Count {
+				t.Errorf("%s: merged bucket %d = %+v, want le %d count %d", name, i, b, want.Buckets[i].Le, 2*want.Buckets[i].Count)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fvcache/internal/obs"
@@ -58,8 +59,16 @@ func TestServeLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported snapshot invalid: %v", err)
 	}
-	if len(snap.Latencies) == 0 {
-		t.Error("snapshot carries no latency histograms")
+	// Every histogram is registered at init, so look for observations
+	// in the serving-path latency series rather than mere presence.
+	var latencyN uint64
+	for name, h := range snap.Histograms {
+		if strings.HasPrefix(name, "serve_latency_us{") {
+			latencyN += h.Count
+		}
+	}
+	if latencyN == 0 {
+		t.Error("snapshot carries no serve_latency_us observations")
 	}
 	if len(snap.Requests) == 0 {
 		t.Error("snapshot carries no request traces")

@@ -165,13 +165,13 @@ func TestServiceSmoke(t *testing.T) {
 	// exact-quantile latency histograms and the flight recorder's
 	// request span trees.
 	foundLatency := false
-	for name := range snap.Latencies {
+	for name := range snap.Histograms {
 		if strings.HasPrefix(name, "serve_latency_us{") {
 			foundLatency = true
 		}
 	}
 	if !foundLatency {
-		t.Errorf("snapshot carries no serve_latency_us histograms: %v", len(snap.Latencies))
+		t.Errorf("snapshot carries no serve_latency_us histograms: %v", len(snap.Histograms))
 	}
 	if len(snap.Requests) == 0 {
 		t.Error("snapshot carries no request traces from the flight recorder")
