@@ -22,8 +22,9 @@ lint-examples:
 	fi
 
 # check is the full robustness gate (see ROADMAP.md "Tier-1 verify"):
-# vet, the examples import lint, build (with telemetry on and compiled
-# out), then the race-enabled test suite. That one pass runs every
+# vet, the examples import lint, a gofmt check over every package of
+# this module, build (with telemetry on and compiled out), then the
+# race-enabled test suite. That one pass runs every
 # gate test exactly once: the fvcached service e2e tests (request
 # coalescing, 429 backpressure, graceful drain, deadlines, the circuit
 # breaker, the chaos detection matrix over the durable result cache,
@@ -51,6 +52,7 @@ lint-examples:
 # (n-1)/n, single ownership, fleet hit ratio) and the hit fast path
 # (measure-hit p50 under 1ms, no hit trace waiting on a batch).
 check: vet lint-examples build
+	test -z "$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...))"
 	$(GO) build -tags obsoff ./...
 	$(GO) test -race ./...
 	$(GO) test -tags obsoff ./internal/obs ./internal/obs/reqtrace ./internal/serve ./internal/sim ./internal/core ./internal/mrc ./api ./client

@@ -1,8 +1,8 @@
 // Package api is the canonical wire contract of the fvcached service:
 // the JSON request/response types of every /v1/ endpoint, the shared
 // error envelope, and the config fingerprint helpers that identify a
-// configuration across the coalescing window, the durable result
-// cache, and the consistent-hash fleet.
+// configuration across coalesced batches, the durable result cache,
+// and the consistent-hash fleet.
 //
 // The package is versioned by Version (the /v1/ path prefix every
 // endpoint lives under). It is consumed identically by three kinds of

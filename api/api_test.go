@@ -8,7 +8,7 @@ import (
 
 // TestFingerprintCanonical: a config spelled with explicit defaults and
 // one relying on zero values must share a fingerprint after
-// normalization — the fleet's ownership, the coalescing window and the
+// normalization — the fleet's ownership, batch coalescing and the
 // durable cache all key on it.
 func TestFingerprintCanonical(t *testing.T) {
 	implicit := Config{}.Normalized()
@@ -29,7 +29,7 @@ func TestFingerprintCanonical(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{MainBytes: 7},                                // not a power-of-two geometry
+		{MainBytes: 7}, // not a power-of-two geometry
 		{MainBytes: 8192, FVCEntries: 64, VictimEntries: 8}, // mutually exclusive
 		{MainBytes: 8192, VictimEntries: -1},
 	}

@@ -27,10 +27,11 @@
 // requests landing elsewhere are proxied to the owner (one hop max),
 // and an unreachable owner degrades to local execution.
 //
-// Requests for the same workload and scale arriving within the
-// coalescing window are fused into a single batch replay; the "batch"
+// Cache misses for the same workload, scale and options that arrive
+// while a batch waits for a worker, or identical misses that arrive
+// while it replays, are fused into that one batch replay; the "batch"
 // stanza of each response reports how a request was executed. When the
-// batch queue is full new requests are rejected with 429. SIGINT or
+// batch queue is full new batches are rejected with 429. SIGINT or
 // SIGTERM drains gracefully: in-flight requests complete, then the
 // process exits.
 //
@@ -69,7 +70,6 @@ func run() (code int) {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (host:port, :0 picks a free port)")
 		queue      = flag.Int("queue", 64, "batch queue depth (full queue rejects with 429)")
-		window     = flag.Duration("coalesce", 10*time.Millisecond, "coalescing window for same-workload requests")
 		reqLimit   = flag.Duration("request-timeout", 120*time.Second, "per-batch execution deadline")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
 		cacheDir   = flag.String("cache-dir", "", "durable result cache directory (empty = memory-only cache)")
@@ -131,7 +131,6 @@ func run() (code int) {
 		// -workers sizes the pool: one batch replays per worker.
 		Workers:         cf.Workers,
 		QueueDepth:      *queue,
-		CoalesceWindow:  *window,
 		RequestTimeout:  *reqLimit,
 		DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,
 		TraceRing:       *traceRing,
@@ -170,9 +169,9 @@ func run() (code int) {
 		fmt.Println("fvcached ready")
 	}()
 
-	// Drain on signal: flush coalescing windows and finish queued
-	// batches first (handlers blocked on results unblock), then close
-	// the listener once every handler has written its response.
+	// Drain on signal: finish queued and running batches first
+	// (handlers blocked on results unblock), then close the listener
+	// once every handler has written its response.
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)

@@ -26,8 +26,8 @@
 //	open      fixed arrival rate, latency under unsynchronized load
 //	burst     rounds of identical concurrent requests for a config no
 //	          earlier request asked — coalescing (hits never coalesce)
-//	deadline  deadline_ms shorter than the coalescing window on a config
-//	          the mix never caches — 504s, and the circuit breaker they
+//	deadline  deadline_ms shorter than one replay on a config the mix
+//	          never caches — 504s, and the circuit breaker they
 //	          open (503s). Runs LAST so breaker fallout cannot pollute
 //	          the steady-state phases.
 //
@@ -42,7 +42,7 @@
 // endpoint, hit/coalesce ratios, 429/503/504 rates, per-stage time
 // attribution aggregated from the server's /debug/requests span data,
 // and the cache-hit fast path (measure-hit p50, and how many hit traces
-// waited on a coalescing window or the queue). -verify re-reads an
+// waited on the batch queue). -verify re-reads an
 // artifact and checks every structural invariant (schema, quantile
 // ordering, ratio ranges, stage coverage, hit-path and fleet-lane
 // gates), plus the telemetry snapshot written next to it on the
@@ -99,8 +99,7 @@ type stageStat struct {
 }
 
 // hitPathReport pins the cache-hit fast path: the server answers a hit
-// in its handler, so a hit never waits on a coalescing window or the
-// batch queue.
+// in its handler, so a hit never waits on the batch queue.
 type hitPathReport struct {
 	// MeasureHits and MeasureP50US: the exact p50 of the hit probe —
 	// one caller re-asking /v1/measure keys it has just computed, on an
@@ -109,8 +108,8 @@ type hitPathReport struct {
 	MeasureHits  int   `json:"measure_hits,omitempty"`
 	MeasureP50US int64 `json:"measure_p50_us,omitempty"`
 	// Traces counts hit-outcome traces in the flight recorder;
-	// WaitSpans how many of them carry a coalesce_wait or queue_wait
-	// span (must be zero).
+	// WaitSpans how many of them carry a queue_wait span (must be
+	// zero).
 	Traces    int `json:"traces"`
 	WaitSpans int `json:"wait_spans"`
 }
@@ -190,8 +189,8 @@ type report struct {
 	Rate503       float64 `json:"rate_503"`
 	Rate504       float64 `json:"rate_504"`
 
-	// StagesUS attributes time to serving stages (parse, coalesce_wait,
-	// queue_wait, cache_probe, replay, encode, ...) from the span trees
+	// StagesUS attributes time to serving stages (parse, queue_wait,
+	// cache_probe, replay, encode, ...) from the span trees
 	// at /debug/requests.
 	StagesUS map[string]stageStat `json:"stages_us"`
 
@@ -243,8 +242,8 @@ func (r *recorder) setDiscard(d bool) {
 }
 
 // configPool is the reused configuration set. Reuse is the point: the
-// same fingerprints recur so the durable result cache and the
-// coalescing window both see repeats, like production clients
+// same fingerprints recur so the durable result cache and batch
+// coalescing both see repeats, like production clients
 // re-asking the popular questions.
 var configPool = []api.Config{
 	{},
@@ -424,9 +423,9 @@ func (g *gen) openLoop(rate int, d time.Duration, seed int64) {
 	wg.Wait()
 }
 
-// burst fires rounds of identical concurrent requests: every member
-// lands inside one coalescing window, so the fused-batch path gets a
-// directed workout. Each round asks a config no earlier request did —
+// burst fires rounds of identical concurrent requests: members that
+// arrive while the first one's batch is queued or replaying join it,
+// so the fused-batch path gets a directed workout. Each round asks a config no earlier request did —
 // the server answers hits before coalescing, so only misses can fuse.
 // Across a fleet the members spread over all nodes and still coalesce
 // at the single owner.
@@ -449,10 +448,10 @@ func (g *gen) burst(rounds, width int, seed int64) {
 	}
 }
 
-// deadlines issues requests whose deadline is shorter than the
-// server's coalescing window, for a config the result cache never
-// holds: every one times out (504), and the failures open the
-// per-workload circuit breaker (503). Must run last.
+// deadlines issues requests whose 1ms deadline expires during their
+// replay, for a config the result cache never holds: every one times
+// out (504), and the failures open the per-workload circuit breaker
+// (503). Must run last.
 func (g *gen) deadlines(d time.Duration, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 13))
 	wl := g.names[rng.Intn(len(g.names))]
@@ -507,7 +506,7 @@ func scrapeStages(base string, agg map[string]stageStat, hp *hitPathReport) erro
 			s.Count++
 			s.TotalUS += sp.DurationUS
 			agg[sp.Name] = s
-			waited = waited || sp.Name == "coalesce_wait" || sp.Name == "queue_wait"
+			waited = waited || sp.Name == "queue_wait"
 		}
 		if tr.Outcome == "hit" {
 			hp.Traces++
@@ -802,7 +801,6 @@ func spawnFleet(bin, workDir string, n, ring int) ([]*child, error) {
 		c, err := spawn(bin,
 			"-addr", addrs[i],
 			"-peers", peers,
-			"-coalesce", "2ms",
 			"-cache-dir", filepath.Join(workDir, fmt.Sprintf("fleet-cache-%d", i)),
 			"-trace-ring", fmt.Sprint(ring),
 			"-telemetry-out", filepath.Join(workDir, fmt.Sprintf("fleet-telemetry-%d.json", i)),
@@ -933,7 +931,6 @@ func run() int {
 		var err error
 		srv, err = spawn(builtBin,
 			"-addr", "127.0.0.1:0",
-			"-coalesce", "2ms",
 			"-cache-dir", filepath.Join(workDir, "cache"),
 			"-trace-ring", fmt.Sprint(*ring),
 			"-telemetry-out", telemetryOut,
@@ -1083,7 +1080,7 @@ func verifyArtifact(path string) error {
 	if rep.CoalesceRatio == 0 {
 		fail("coalesce_ratio = 0: the burst phase never coalesced")
 	}
-	for _, stage := range []string{"parse", "coalesce_wait", "queue_wait", "cache_probe", "replay", "encode"} {
+	for _, stage := range []string{"parse", "queue_wait", "cache_probe", "replay", "encode"} {
 		s, ok := rep.StagesUS[stage]
 		if !ok || s.Count <= 0 {
 			fail("stages_us missing %q (span data absent from /debug/requests scrape)", stage)
@@ -1093,7 +1090,7 @@ func verifyArtifact(path string) error {
 	}
 
 	// Hit fast path: a hit is answered in the handler, so it never
-	// waits on a coalescing window or the queue, and a measure hit
+	// waits on the queue, and a measure hit
 	// costs well under a millisecond end to end.
 	if hp := rep.HitPath; hp.MeasureHits == 0 || hp.Traces == 0 {
 		fail("hit_path saw %d probe hits and %d hit traces, want both > 0", hp.MeasureHits, hp.Traces)
@@ -1101,7 +1098,7 @@ func verifyArtifact(path string) error {
 		fail("hit_path: measure-hit p50 %dus, want < %dus", hp.MeasureP50US, maxHitP50US)
 	}
 	if rep.HitPath.WaitSpans != 0 {
-		fail("hit_path: %d hit traces carry a coalesce_wait or queue_wait span", rep.HitPath.WaitSpans)
+		fail("hit_path: %d hit traces carry a queue_wait span", rep.HitPath.WaitSpans)
 	}
 
 	// Fleet lane gates: exactly-one-owner, the (n-1)/n forward ratio of
@@ -1137,7 +1134,7 @@ func verifyArtifact(path string) error {
 			fail("fleet: ownership counters report zero forwards")
 		}
 		if fr.HitPath.Traces == 0 || fr.HitPath.WaitSpans != 0 {
-			fail("fleet: %d of %d hit traces carry a coalesce_wait or queue_wait span", fr.HitPath.WaitSpans, fr.HitPath.Traces)
+			fail("fleet: %d of %d hit traces carry a queue_wait span", fr.HitPath.WaitSpans, fr.HitPath.Traces)
 		}
 	}
 

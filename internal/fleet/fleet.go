@@ -230,7 +230,7 @@ type PeerSnapshot struct {
 // /debug/fleet.
 func (f *Fleet) Snapshot() []PeerSnapshot {
 	share := map[*Peer]float64{}
-	const whole = float64(1 << 63) * 2 // 2^64
+	const whole = float64(1<<63) * 2 // 2^64
 	for i, vn := range f.ring {
 		// The arc ending at vn.hash (owned by vn.peer) starts at the
 		// previous vnode's hash; the first arc wraps from the last.

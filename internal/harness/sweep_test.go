@@ -164,8 +164,8 @@ func TestManifestCorruptFileDegradesToFresh(t *testing.T) {
 // over as a run progresses.
 func TestBlendedETA(t *testing.T) {
 	cases := []struct {
-		name               string
-		ran                int
+		name                string
+		ran                 int
 		ranMS, seedMS, want int64
 	}{
 		{"no data", 0, 0, 0, 0},

@@ -105,8 +105,8 @@ type dmView struct {
 	level int
 }
 
-func (v dmView) hits(int) uint64    { return v.p.levelHits(v.level) }
-func (v dmView) coldCount() uint64  { return v.p.cold }
+func (v dmView) hits(int) uint64   { return v.p.levelHits(v.level) }
+func (v dmView) coldCount() uint64 { return v.p.cold }
 func (p *dmPass) views() []bucketed {
 	out := make([]bucketed, len(p.tables))
 	for k := range p.tables {

@@ -49,7 +49,7 @@ func decodeEnvelope(t *testing.T, label string, body []byte) api.Error {
 }
 
 func TestErrorEnvelopeShape(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 
 	cases := []struct {
 		name       string
@@ -110,7 +110,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 // queue (429 overloaded) and a draining server (503), both of which
 // must advertise Retry-After.
 func TestErrorEnvelopeRetryable(t *testing.T) {
-	sv, ts := newTestService(t, Options{Workers: 1, QueueDepth: 1, CoalesceWindow: time.Millisecond})
+	sv, ts := newTestService(t, Options{Workers: 1, QueueDepth: 1})
 	started := make(chan string, 8)
 	release := make(chan struct{})
 	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
@@ -179,7 +179,7 @@ func TestErrorEnvelopeRetryable(t *testing.T) {
 // the full envelope — the status is already 200 on the wire, so the
 // envelope is the only way a client learns the stream died.
 func TestSweepMidStreamErrorEnvelope(t *testing.T) {
-	sv, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	sv, ts := newTestService(t, Options{})
 	sv.execSweep = func(ctx context.Context, req fvcache.SweepRequest) (*fvcache.SweepResult, error) {
 		if req.OnArtifact != nil {
 			req.OnArtifact(fvcache.ArtifactResult{ID: "figure-6"})
@@ -248,7 +248,7 @@ func TestBatchInfoShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond, ResultCache: cache})
+	_, ts := newTestService(t, Options{ResultCache: cache})
 
 	const x, y, z = `{"fvc_entries":64}`, `{"main_bytes":8192}`, `{"assoc":2}`
 	cases := []struct {

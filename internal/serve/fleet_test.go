@@ -97,10 +97,10 @@ func fleetConfigPool() []api.Config {
 }
 
 func TestFleetSingleOwnershipBitIdentical(t *testing.T) {
-	nodes := startFleet(t, 3, fleet.Options{}, Options{CoalesceWindow: time.Millisecond})
+	nodes := startFleet(t, 3, fleet.Options{}, Options{})
 
 	// Single-node reference for bit-identical comparison.
-	_, ref := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ref := newTestService(t, Options{})
 	refCli, err := client.New(ref.URL, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestFleetSingleOwnershipBitIdentical(t *testing.T) {
 func TestFleetFallbackAndRejoin(t *testing.T) {
 	nodes := startFleet(t, 3,
 		fleet.Options{FailThreshold: 1, Cooldown: 300 * time.Millisecond},
-		Options{CoalesceWindow: time.Millisecond})
+		Options{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -272,7 +272,7 @@ func TestFleetFallbackAndRejoin(t *testing.T) {
 }
 
 func TestFleetDebugEndpoints(t *testing.T) {
-	nodes := startFleet(t, 3, fleet.Options{}, Options{CoalesceWindow: time.Millisecond})
+	nodes := startFleet(t, 3, fleet.Options{}, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -318,9 +318,9 @@ func TestFleetDebugEndpoints(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var agg struct {
-		Fleet  bool     `json:"fleet"`
-		Nodes  []string `json:"nodes"`
-		Failed []string `json:"failed_nodes"`
+		Fleet    bool     `json:"fleet"`
+		Nodes    []string `json:"nodes"`
+		Failed   []string `json:"failed_nodes"`
 		Snapshot struct {
 			Counters map[string]uint64 `json:"counters"`
 		} `json:"snapshot"`

@@ -22,7 +22,7 @@ import (
 // is still executing must get 504 with a retryable, machine-readable
 // body, and the executor must have seen the deadline on its context.
 func TestDeadlineExceeded(t *testing.T) {
-	sv, ts := newTestService(t, Options{Workers: 1, CoalesceWindow: time.Millisecond})
+	sv, ts := newTestService(t, Options{Workers: 1})
 	sawDeadline := make(chan bool, 1)
 	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
 		_, ok := ctx.Deadline()
@@ -48,7 +48,7 @@ func TestDeadlineExceeded(t *testing.T) {
 // names none, and the body's deadline_ms works like the query form.
 func TestDeadlineDefault(t *testing.T) {
 	sv, ts := newTestService(t, Options{
-		Workers: 1, CoalesceWindow: time.Millisecond, DefaultDeadline: 50 * time.Millisecond,
+		Workers: 1, DefaultDeadline: 50 * time.Millisecond,
 	})
 	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
 		<-ctx.Done()
@@ -77,7 +77,7 @@ func TestDeadlineDefault(t *testing.T) {
 // the breaker again.
 func TestBreakerShedsFailingKey(t *testing.T) {
 	sv, ts := newTestService(t, Options{
-		Workers: 2, CoalesceWindow: time.Millisecond,
+		Workers:          2,
 		BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond,
 	})
 	healed := false
@@ -165,7 +165,7 @@ func TestBreakerHalfOpenRefails(t *testing.T) {
 // and the serving path stay up) until SetReady flips it — the boot
 // recovery-scan window in fvcached.
 func TestReadinessGate(t *testing.T) {
-	sv, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond, StartUnready: true})
+	sv, ts := newTestService(t, Options{StartUnready: true})
 	get := func(path string) int {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -198,7 +198,7 @@ func TestWarmRepeatBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond, ResultCache: cache})
+	_, ts := newTestService(t, Options{ResultCache: cache})
 
 	wls := fvcache.Workloads()
 	if len(wls) < 18 {
@@ -254,7 +254,7 @@ func TestCacheDegradedStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond, ResultCache: cache})
+	_, ts := newTestService(t, Options{ResultCache: cache})
 
 	// Enough repeats to cross the admission threshold and attempt the
 	// (failing) durable write; every request must still succeed.

@@ -104,14 +104,14 @@ func measureRaw(t *testing.T, label, base, body string) rawMeasure {
 	return decodeRaw(t, label, resp, data)
 }
 
-// TestMeasureHitSkipsBatching: under a 2s coalescing window, a cached
-// key is answered well inside the window, runs no batch, and its trace
-// holds exactly parse → cache_probe → encode. The coalescing table's
-// lock is held throughout, so a hit that reached for it would hang.
+// TestMeasureHitSkipsBatching: a cached key is answered at once, runs
+// no batch, and its trace holds exactly parse → cache_probe → encode.
+// The coalescing table's lock is held throughout, so a hit that reached
+// for it would hang.
 func TestMeasureHitSkipsBatching(t *testing.T) {
 	cache := memCache(t)
-	_, warm := newTestService(t, Options{CoalesceWindow: time.Millisecond, ResultCache: cache})
-	sv, ts := newTestService(t, Options{CoalesceWindow: 2 * time.Second, ResultCache: cache})
+	_, warm := newTestService(t, Options{ResultCache: cache})
+	sv, ts := newTestService(t, Options{ResultCache: cache})
 
 	body := `{"workload":"goboard","config":{"fvc_entries":128}}`
 	cold := measureRaw(t, "warm-up", warm.URL, body)
@@ -123,7 +123,7 @@ func TestMeasureHitSkipsBatching(t *testing.T) {
 	hit := decodeRaw(t, "hit", resp, data)
 
 	if took > 500*time.Millisecond {
-		t.Errorf("hit took %s under a 2s coalescing window", took)
+		t.Errorf("hit took %s with the coalescing table locked", took)
 	}
 	if got := sv.ServerStats().Batches; got != before {
 		t.Errorf("hit ran %d batches", got-before)
@@ -150,8 +150,8 @@ func TestMeasureHitSkipsBatching(t *testing.T) {
 // with a cold one (repeated) sends only the cold one to a batch, and
 // the spliced answer is byte-identical to a cold server's.
 func TestPartialHitSplicesBitIdentical(t *testing.T) {
-	sv, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond, ResultCache: memCache(t)})
-	_, ref := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	sv, ts := newTestService(t, Options{ResultCache: memCache(t)})
+	_, ref := newTestService(t, Options{})
 
 	measureRaw(t, "warm-up", ts.URL, `{"workload":"strproc","config":{"fvc_entries":64}}`)
 
@@ -179,7 +179,7 @@ func TestPartialHitSplicesBitIdentical(t *testing.T) {
 // only; a cached result is not an execution and still answers 200.
 func TestBreakerOpenStillServesHits(t *testing.T) {
 	sv, ts := newTestService(t, Options{
-		CoalesceWindow: time.Millisecond, ResultCache: memCache(t),
+		ResultCache:      memCache(t),
 		BreakerThreshold: 1, BreakerCooldown: time.Minute,
 	})
 	warm := `{"workload":"goboard"}`
@@ -262,7 +262,7 @@ func TestMRCHitSpawnsNoFlight(t *testing.T) {
 // owner's handler, so a key the owner holds is answered from its cache
 // without opening a batch there.
 func TestFleetOwnerAnswersForwardedHit(t *testing.T) {
-	nodes := startFleet(t, 3, fleet.Options{}, Options{CoalesceWindow: time.Millisecond})
+	nodes := startFleet(t, 3, fleet.Options{}, Options{})
 	byURL := map[string]*fleetNode{}
 	for _, n := range nodes {
 		n.sv.SetResultCache(memCache(t))

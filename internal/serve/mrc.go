@@ -54,9 +54,8 @@ type (
 )
 
 // mrcFlight is one in-flight analysis shared by every identical
-// concurrent cache miss (singleflight: no coalescing window — the pass
-// is fast enough that the first request executes immediately and late
-// arrivals join it mid-run).
+// concurrent cache miss (singleflight: the first request executes
+// immediately and late arrivals join it mid-run).
 type mrcFlight struct {
 	done     chan struct{}
 	requests int
@@ -174,13 +173,7 @@ func (s *Server) runMRCFlight(f *mrcFlight, key string, req fvcache.MRCRequest) 
 	f.passDone = time.Now()
 	s.brk.report(req.Workload+"|"+req.Scale.String(), err == nil || errors.Is(err, context.Canceled))
 	if err != nil {
-		f.status = http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			f.status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			f.status = http.StatusServiceUnavailable
-		}
+		f.status = execStatus(err)
 		f.err = err
 		obs.Log.Warn("mrc flight failed", "workload", req.Workload, "err", err.Error())
 		return

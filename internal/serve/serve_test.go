@@ -54,7 +54,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 // a direct engine call.
 func TestCoalescingFusesRequests(t *testing.T) {
 	const clients = 8
-	sv, ts := newTestService(t, Options{CoalesceWindow: 150 * time.Millisecond})
+	sv, ts := newTestService(t, Options{})
 
 	body := `{"workload":"goboard","scale":"test","configs":[` +
 		`{"main_bytes":8192},{"main_bytes":8192,"fvc_entries":256}]}`
@@ -147,12 +147,95 @@ func TestCoalescingFusesRequests(t *testing.T) {
 	}
 }
 
+// TestMissJoinsRunningBatch pins the lone worker inside batch 1, whose
+// only request carries a 30s deadline, and then sends one more request
+// for the same key. The request may join the running batch only if the
+// batch already replays every config it misses and outlives its
+// deadline. Otherwise it opens a fresh batch, which waits in the queue.
+func TestMissJoinsRunningBatch(t *testing.T) {
+	const first = `{"workload":"goboard","configs":[{"main_bytes":8192}],"deadline_ms":30000}`
+	cases := []struct {
+		name, body string
+		joins      bool
+	}{
+		{"identical", `{"workload":"goboard","configs":[{"main_bytes":8192}],"deadline_ms":20000}`, true},
+		{"extra config", `{"workload":"goboard","configs":[{"main_bytes":8192},{"main_bytes":16384}],"deadline_ms":20000}`, false},
+		{"no deadline", `{"workload":"goboard","configs":[{"main_bytes":8192}]}`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sv, ts := newTestService(t, Options{Workers: 1})
+			started := make(chan struct{}, 2)
+			release := make(chan struct{})
+			unpin := sync.OnceFunc(func() { close(release) })
+			defer unpin()
+			sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
+				started <- struct{}{}
+				<-release
+				return make([]fvcache.MeasureResult, len(b.configs)), nil
+			}
+			type reply struct {
+				status int
+				out    measureRespWire
+			}
+			post := func(body string) <-chan reply {
+				ch := make(chan reply, 1)
+				go func() {
+					var r reply
+					defer func() { ch <- r }()
+					resp, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					r.status = resp.StatusCode
+					if err := json.NewDecoder(resp.Body).Decode(&r.out); err != nil {
+						t.Error(err)
+					}
+				}()
+				return ch
+			}
+
+			firstCh := post(first)
+			<-started // batch 1 is running
+			probeCh := post(tc.body)
+			deadline := time.Now().Add(5 * time.Second)
+			for sv.ServerStats().Coalesced == 0 && len(sv.queue) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the request neither joined batch 1 nor queued a batch")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			unpin()
+			a, b := <-firstCh, <-probeCh
+			if a.status != http.StatusOK || b.status != http.StatusOK {
+				t.Fatalf("statuses %d, %d, want 200, 200", a.status, b.status)
+			}
+			if joined := b.out.Batch.TraceID == a.out.Batch.TraceID; joined != tc.joins {
+				t.Errorf("request joined batch 1: %v, want %v (batch stanzas %+v, %+v)",
+					joined, tc.joins, a.out.Batch, b.out.Batch)
+			}
+			wantBatches, wantRequests := uint64(2), 1
+			if tc.joins {
+				wantBatches, wantRequests = 1, 2
+			}
+			if st := sv.ServerStats(); st.Batches != wantBatches {
+				t.Errorf("%d batch executions, want %d", st.Batches, wantBatches)
+			}
+			if a.out.Batch.Requests != wantRequests {
+				t.Errorf("batch 1 served %d requests, want %d", a.out.Batch.Requests, wantRequests)
+			}
+		})
+	}
+}
+
 // TestQueueOverflowRejects drives the worker pool to saturation with a
 // stubbed slow executor and checks that an over-capacity request is
 // rejected with 429 instead of queuing unboundedly.
 func TestQueueOverflowRejects(t *testing.T) {
 	sv, ts := newTestService(t, Options{
-		Workers: 1, QueueDepth: 1, CoalesceWindow: time.Millisecond,
+		Workers: 1, QueueDepth: 1,
 	})
 	started := make(chan string, 8)
 	release := make(chan struct{})
@@ -213,7 +296,7 @@ func TestQueueOverflowRejects(t *testing.T) {
 // Shutdown begins still completes with 200, while new requests are
 // turned away with 503.
 func TestGracefulDrain(t *testing.T) {
-	sv := New(Options{Workers: 1, CoalesceWindow: time.Millisecond})
+	sv := New(Options{Workers: 1})
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
@@ -300,7 +383,7 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestBadRequests walks the 4xx surface.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	cases := []struct {
 		name, body string
 		want       int
@@ -341,7 +424,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestListingAndMetricsEndpoints covers the read-only surface.
 func TestListingAndMetricsEndpoints(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 
 	resp, err := http.Get(ts.URL + "/v1/workloads")
 	if err != nil {
@@ -390,7 +473,7 @@ func TestListingAndMetricsEndpoints(t *testing.T) {
 // TestSweepStreamsOverHTTP runs one artifact through POST /v1/sweep and
 // checks the NDJSON stream shape.
 func TestSweepStreamsOverHTTP(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	resp, data := postJSON(t, ts.URL+"/v1/sweep", `{"artifacts":["tab1"],"scale":"test"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -419,7 +502,7 @@ func TestSweepStreamsOverHTTP(t *testing.T) {
 // TestDefaultConfigRequest checks the minimal useful body measures the
 // default geometry.
 func TestDefaultConfigRequest(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)

@@ -5,16 +5,19 @@
 // Each request first probes the durable result cache in its own
 // handler: configurations the cache answers never wait, and a request
 // the cache answers in full is encoded straight back without touching
-// the batching machinery. Only the misses of requests for the same
-// (workload, scale, options) arriving within a short window are merged
-// into ONE sim.MeasureRecordedBatch execution: their configurations
-// are deduplicated into a single fused SystemSet replay over the
-// shared recording cache, and each client receives its own slice of
-// the results. A bounded worker pool executes batches;
-// when the batch queue overflows, new requests are rejected with 429
-// (backpressure) instead of piling up. Shutdown drains: in-flight
-// requests complete, open coalescing windows flush, and only then do
-// the workers exit.
+// the batching machinery. The misses of requests for the same
+// (workload, scale, options) are merged into ONE
+// sim.MeasureRecordedBatch execution: their configurations are
+// deduplicated into a single fused SystemSet replay over the shared
+// recording cache, and each client receives its own slice of the
+// results. The first miss of a key opens a batch and queues it at
+// once; later misses join it while it waits for a worker, and
+// identical misses still join it while it replays, up to the moment
+// its results fan out. A bounded worker pool executes
+// batches; when the batch queue is full, the request that would open a
+// batch is rejected with 429 (backpressure) instead of piling up.
+// Shutdown drains: queued and in-flight batches complete, and only
+// then do the workers exit.
 //
 // The serving path is fault-hardened (see DESIGN.md, "Durability &
 // degradation model"):
@@ -22,8 +25,8 @@
 //   - A durable result cache (internal/resultcache), probed before
 //     coalescing, makes repeat traffic O(1) and survives restarts.
 //   - Per-request deadlines (?deadline_ms= or the body's deadline_ms)
-//     propagate into the batch context and cancel replays at chunk
-//     boundaries; an expired request gets 504.
+//     propagate into the batch context and cancel a running replay;
+//     an expired request gets 504.
 //   - A per-(workload, scale) circuit breaker sheds traffic for keys
 //     whose executor keeps panicking or timing out, with 503 +
 //     Retry-After, while healthy keys keep serving.
@@ -71,6 +74,15 @@ var (
 	breakerOpenTotal = obs.Default.Counter("serve_breaker_open")
 )
 
+// Fixed limits of the serving path.
+const (
+	// maxBatchConfigs caps distinct configurations fused into one
+	// batch; a request that would overfill a batch opens a fresh one.
+	maxBatchConfigs = 64
+	// maxSweeps bounds concurrent /v1/sweep executions.
+	maxSweeps = 2
+)
+
 // Options configures a Server.
 type Options struct {
 	// Workers is the batch worker pool size (<=0 means GOMAXPROCS).
@@ -78,17 +90,8 @@ type Options struct {
 	// QueueDepth bounds the batch queue; a full queue rejects new
 	// batches with 429 (<=0 means 64).
 	QueueDepth int
-	// CoalesceWindow is how long the first request of a batch waits
-	// for same-keyed requests to join it (<=0 means 10ms).
-	CoalesceWindow time.Duration
 	// RequestTimeout bounds one batch execution (<=0 means 120s).
 	RequestTimeout time.Duration
-	// MaxBatchConfigs caps distinct configurations fused into one
-	// batch; a window that fills up dispatches early and keeps
-	// coalescing into a fresh batch (<=0 means 64).
-	MaxBatchConfigs int
-	// MaxSweeps bounds concurrent /v1/sweep executions (<=0 means 2).
-	MaxSweeps int
 	// DefaultDeadline is the per-request deadline applied when a
 	// request carries none of its own (<=0 means no default; the batch
 	// is still bounded by RequestTimeout).
@@ -128,17 +131,8 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.CoalesceWindow <= 0 {
-		o.CoalesceWindow = 10 * time.Millisecond
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 120 * time.Second
-	}
-	if o.MaxBatchConfigs <= 0 {
-		o.MaxBatchConfigs = 64
-	}
-	if o.MaxSweeps <= 0 {
-		o.MaxSweeps = 2
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
@@ -167,8 +161,9 @@ type callResult struct {
 }
 
 // batch is one coalescing unit: the cache misses of every request
-// sharing (workload, scale, options) that arrived within the window,
-// with their configurations deduplicated by fingerprint.
+// sharing (workload, scale, options) that joined it between its
+// opening and the end of its replay, with their configurations
+// deduplicated by fingerprint.
 type batch struct {
 	key      string
 	workload string
@@ -182,13 +177,15 @@ type batch struct {
 	configs []ConfigWire
 	fps     map[string]int
 	subs    []*call
-	timer   *time.Timer
+	// running is set under Server.mu when a worker takes the batch off
+	// the queue. From then on configs, fps and the deadline fields are
+	// frozen: only requests the batch already covers may still join.
+	running bool
 
 	// Stage timestamps, stamped as the batch moves through the serving
 	// pipeline; zero values mean the stage never ran (stubbed executor,
 	// early failure) and are skipped by trace/stage accounting.
-	created    time.Time // batch opened (coalescing window armed)
-	dispatched time.Time // window closed, handed to the queue
+	created    time.Time // batch opened and queued
 	execStart  time.Time // worker picked it up
 	replayDone time.Time // replay finished
 
@@ -200,11 +197,29 @@ type batch struct {
 	unbounded bool
 }
 
-// failAll delivers an error to every coalesced request of the batch.
-func (b *batch) failAll(status int, err error) {
-	for _, c := range b.subs {
-		c.done <- callResult{status: status, err: err}
+// admits reports whether a request missing the configs fps, with the
+// given deadline (zero = none), may take a seat in b. A queued batch
+// takes new configs up to maxBatchConfigs. A running batch takes only
+// requests whose every config it already replays and whose deadline
+// its own covers, so a joiner never changes what the worker reads.
+func (b *batch) admits(fps []string, deadline time.Time) bool {
+	fresh := newConfigs(b.fps, fps)
+	if !b.running {
+		return len(b.configs)+fresh <= maxBatchConfigs
 	}
+	return fresh == 0 &&
+		(b.unbounded || !deadline.IsZero() && !deadline.After(b.deadline))
+}
+
+// newConfigs counts the distinct fingerprints in fps that held lacks.
+func newConfigs(held map[string]int, fps []string) int {
+	fresh := make(map[string]bool)
+	for _, fp := range fps {
+		if _, ok := held[fp]; !ok {
+			fresh[fp] = true
+		}
+	}
+	return len(fresh)
 }
 
 // Server coalesces measurement requests into fused batch executions.
@@ -264,7 +279,7 @@ func New(opt Options) *Server {
 		queue:    make(chan *batch, opt.QueueDepth),
 		baseCtx:  ctx,
 		stop:     cancel,
-		sweepSem: make(chan struct{}, opt.MaxSweeps),
+		sweepSem: make(chan struct{}, maxSweeps),
 		brk:      newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
 		rec:      reqtrace.NewRecorder(opt.TraceRing),
 	}
@@ -334,26 +349,13 @@ func (s *Server) ServerStats() Stats {
 	}
 }
 
-// Shutdown drains the service: open coalescing windows flush
-// immediately, queued and in-flight batches complete (delivering
-// results to their waiting requests), and the workers exit. New
-// requests are rejected with 503 from the first call on. If ctx
-// expires first, in-flight batch replays are cancelled at their next
-// chunk boundary and the drain finishes with ctx's error.
+// Shutdown drains the service: queued and in-flight batches complete
+// (delivering results to their waiting requests), and the workers
+// exit. New requests are rejected with 503 from the first call on. If
+// ctx expires first, in-flight batch replays are cancelled and the
+// drain finishes with ctx's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	// Flush every open window: ownership moves from the timer to us.
-	s.mu.Lock()
-	flush := make([]*batch, 0, len(s.pending))
-	for _, b := range s.pending {
-		b.timer.Stop()
-		flush = append(flush, b)
-	}
-	s.pending = make(map[string]*batch)
-	s.mu.Unlock()
-	for _, b := range flush {
-		s.enqueue(b, true)
-	}
 	s.mu.Lock()
 	if !s.qClosed {
 		s.qClosed = true
@@ -370,20 +372,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.stop() // cancel in-flight replays at their next chunk boundary
+		s.stop() // cancel in-flight replays
 		<-done
 		return ctx.Err()
 	}
 }
 
-// submit coalesces a parsed request into an open batch (or opens one)
-// and returns the caller's seat. optsFP is the canonical options JSON
-// (precomputed by the handler, which also uses it for fleet ownership).
-// deadline is the request's absolute deadline (zero = none); the batch
-// runs until its latest member deadline so one impatient client cannot
-// cancel its seat-mates.
+// submit coalesces a parsed request into its key's open batch (or
+// opens one) and returns the caller's seat. optsFP is the canonical
+// options JSON (precomputed by the handler, which also uses it for
+// fleet ownership). deadline is the request's absolute deadline (zero
+// = none); the batch runs until its latest member deadline so one
+// impatient client cannot cancel its seat-mates.
 func (s *Server) submit(workload string, scale fvcache.Scale, opts fvcache.Options, optsFP string, cfgs []ConfigWire, deadline time.Time) (*call, error) {
 	key := fmt.Sprintf("%s|%s|%s", workload, scale, optsFP)
+	fps := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		fps[i] = cfg.Fingerprint()
+	}
+	if newConfigs(nil, fps) > maxBatchConfigs {
+		return nil, fmt.Errorf("request spans more than %d distinct configurations", maxBatchConfigs)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -391,111 +400,45 @@ func (s *Server) submit(workload string, scale fvcache.Scale, opts fvcache.Optio
 		return nil, errDraining
 	}
 	b := s.pending[key]
-	if b == nil {
-		b = s.newBatchLocked(key, workload, scale, opts, optsFP)
-	} else {
+	if b != nil && b.admits(fps, deadline) {
 		s.nCoalesced.Add(1)
 		coalescedTotal.Inc()
-	}
-	c := &call{done: make(chan callResult, 1)}
-	for _, cfg := range cfgs {
-		fp := cfg.Fingerprint()
-		i, ok := b.fps[fp]
-		if !ok {
-			if len(b.configs) >= s.opt.MaxBatchConfigs {
-				// The open batch is full: dispatch it now and keep
-				// coalescing this (and later) requests into a fresh one.
-				// Seats already taken in the full batch stay there; a
-				// request can legitimately span two executions only when
-				// it alone exceeds the cap, in which case it waits on the
-				// last batch it joined.
-				s.dispatchLocked(b)
-				nb := s.newBatchLocked(key, workload, scale, opts, optsFP)
-				if len(c.idx) > 0 {
-					// This caller already holds seats in the dispatched
-					// batch; it cannot wait on two. Refuse rather than
-					// deliver partial results.
-					return nil, fmt.Errorf("request spans more than %d distinct configurations", s.opt.MaxBatchConfigs)
-				}
-				b = nb
-			}
-			i = len(b.configs)
-			b.configs = append(b.configs, cfg)
-			b.fps[fp] = i
-		}
-		c.idx = append(c.idx, i)
-	}
-	// Merge the caller's deadline into whichever batch it ended up in.
-	if deadline.IsZero() {
-		b.unbounded = true
-	} else if deadline.After(b.deadline) {
-		b.deadline = deadline
-	}
-	b.subs = append(b.subs, c)
-	return c, nil
-}
-
-// newBatchLocked opens a batch and arms its coalescing window.
-func (s *Server) newBatchLocked(key, workload string, scale fvcache.Scale, opts fvcache.Options, optsFP string) *batch {
-	b := &batch{
-		key: key, workload: workload, scale: scale, opts: opts, optsFP: optsFP,
-		fps: make(map[string]int), id: s.rec.Mint(), created: time.Now(),
-	}
-	s.pending[key] = b
-	b.timer = time.AfterFunc(s.opt.CoalesceWindow, func() { s.dispatch(b) })
-	return b
-}
-
-// dispatch moves a batch from the coalescing window to the queue if
-// it still owns it (Shutdown or a full window may have taken it
-// first).
-func (s *Server) dispatch(b *batch) {
-	s.mu.Lock()
-	if s.pending[b.key] != b {
-		s.mu.Unlock()
-		return
-	}
-	s.dispatchLocked(b)
-	s.mu.Unlock()
-}
-
-func (s *Server) dispatchLocked(b *batch) {
-	delete(s.pending, b.key)
-	b.timer.Stop()
-	s.enqueueLocked(b, false)
-}
-
-// enqueue hands a batch to the worker pool. Non-blocking mode applies
-// queue backpressure: a full queue fails the whole batch with 429.
-// Blocking mode is used by the Shutdown flush, which must not drop
-// accepted work.
-func (s *Server) enqueue(b *batch, block bool) {
-	s.mu.Lock()
-	s.enqueueLocked(b, block)
-	s.mu.Unlock()
-}
-
-func (s *Server) enqueueLocked(b *batch, block bool) {
-	if b.dispatched.IsZero() {
-		b.dispatched = time.Now() // covers both timer dispatch and the Shutdown flush
-	}
-	if s.qClosed {
-		b.failAll(http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	if block {
-		s.queue <- b
 	} else {
+		b = &batch{
+			key: key, workload: workload, scale: scale, opts: opts, optsFP: optsFP,
+			fps: make(map[string]int), id: s.rec.Mint(), created: time.Now(),
+		}
 		select {
 		case s.queue <- b:
 		default:
-			s.nRejected.Add(uint64(len(b.subs)))
-			reqRejected.Add(uint64(len(b.subs)))
-			b.failAll(http.StatusTooManyRequests, errOverloaded)
-			return
+			s.nRejected.Add(1)
+			reqRejected.Inc()
+			return nil, errOverloaded
+		}
+		queueDepth.Set(float64(len(s.queue)))
+		s.pending[key] = b
+	}
+	c := &call{idx: make([]int, len(cfgs)), done: make(chan callResult, 1)}
+	for j, fp := range fps {
+		i, ok := b.fps[fp]
+		if !ok {
+			i = len(b.configs)
+			b.configs = append(b.configs, cfgs[j])
+			b.fps[fp] = i
+		}
+		c.idx[j] = i
+	}
+	// A running batch already covers this caller's deadline (admits),
+	// and its worker reads the deadline unlocked: leave it alone.
+	if !b.running {
+		if deadline.IsZero() {
+			b.unbounded = true
+		} else if deadline.After(b.deadline) {
+			b.deadline = deadline
 		}
 	}
-	queueDepth.Set(float64(len(s.queue)))
+	b.subs = append(b.subs, c)
+	return c, nil
 }
 
 var (
@@ -512,11 +455,29 @@ func (s *Server) worker() {
 	}
 }
 
+// execStatus maps an executor error to the HTTP status its waiters
+// get: 504 when a deadline ran out, 503 when the drain cancelled the
+// run, 500 otherwise.
+func execStatus(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 // runBatch materializes the batch's configurations (resolving
 // profile-derived FVTs from the shared profile cache), drives one
 // fused replay for all of them, and fans the per-config results back
 // to every coalesced request.
 func (s *Server) runBatch(b *batch) {
+	// Freeze the batch: from here on only requests it already covers
+	// may join, so configs and the deadline are safe to read unlocked.
+	s.mu.Lock()
+	b.running = true
+	s.mu.Unlock()
 	s.nBatches.Add(1)
 	batchesTotal.Inc()
 	batchConfigs.Observe(uint64(len(b.configs)))
@@ -534,8 +495,7 @@ func (s *Server) runBatch(b *batch) {
 	defer cancel()
 	if !b.unbounded && !b.deadline.IsZero() {
 		// Every member carries a deadline: bound the replay by the
-		// latest one (RequestTimeout still caps it above). Cancellation
-		// lands at the replay's next chunk boundary.
+		// latest one (RequestTimeout still caps it above).
 		var dcancel context.CancelFunc
 		ctx, dcancel = context.WithDeadline(ctx, b.deadline)
 		defer dcancel()
@@ -553,25 +513,26 @@ func (s *Server) runBatch(b *batch) {
 		return execErr
 	})
 	b.replayDone = time.Now()
+	// Close the batch: no request joins it after this, so subs is final.
+	s.mu.Lock()
+	if s.pending[b.key] == b {
+		delete(s.pending, b.key)
+	}
+	s.mu.Unlock()
 	observeBatchStages(b)
-	bt.Add("coalesce_wait", -1, b.created, b.dispatched)
-	bt.Add("queue_wait", -1, b.dispatched, b.execStart)
+	bt.Add("queue_wait", -1, b.created, b.execStart)
 	bt.Add("replay", -1, b.execStart, b.replayDone)
 	s.brk.report(b.workload+"|"+b.scale.String(), err == nil || errors.Is(err, context.Canceled))
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		}
+		status := execStatus(err)
 		reqErrors.Add(uint64(len(b.subs)))
 		obs.Log.Warn("batch failed", "workload", b.workload, "configs", len(b.configs), "err", err.Error())
 		bt.SetError(err.Error())
 		bt.SetOutcome(status, outcomeFor(status, ""))
 		s.rec.Finish(bt)
-		b.failAll(status, err)
+		for _, c := range b.subs {
+			c.done <- callResult{status: status, err: err}
+		}
 		return
 	}
 	info := batchInfoWire{
@@ -798,8 +759,11 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	c, err := s.submit(req.Workload, scale, req.Options, optsFP, misses, deadline)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, errDraining) {
+		switch {
+		case errors.Is(err, errDraining):
 			status = http.StatusServiceUnavailable
+		case errors.Is(err, errOverloaded):
+			status = http.StatusTooManyRequests
 		}
 		t.fail(status, err)
 		return

@@ -19,16 +19,15 @@ import (
 
 // Serving stages whose durations feed the serve_stage_us{stage=...}
 // quantile series (the per-stage time attribution BENCH_serve.json
-// reports): parse, cache_probe and encode once per request; the
-// coalescing window, queue wait and replay once per batch.
+// reports): parse, cache_probe and encode once per request; queue
+// wait and replay once per batch.
 var (
-	stageParseUS    = stageSeries("parse")
-	stageCoalesceUS = stageSeries("coalesce_wait")
-	stageQueueUS    = stageSeries("queue_wait")
-	stageCacheUS    = stageSeries("cache_probe")
-	stageReplayUS   = stageSeries("replay")
-	stageEncodeUS   = stageSeries("encode")
-	stageForwardUS  = stageSeries("forward")
+	stageParseUS   = stageSeries("parse")
+	stageQueueUS   = stageSeries("queue_wait")
+	stageCacheUS   = stageSeries("cache_probe")
+	stageReplayUS  = stageSeries("replay")
+	stageEncodeUS  = stageSeries("encode")
+	stageForwardUS = stageSeries("forward")
 )
 
 func stageSeries(stage string) *obs.Histogram {
@@ -141,15 +140,14 @@ func (t *reqTrack) failFull(status int, err error, retryable bool, reason string
 }
 
 // attachBatchSpans adds the executed batch's stage timeline under
-// parent: how long the coalescing window stayed open, the queue wait,
-// and the replay. Stages a stubbed executor never stamped are skipped
-// by Add.
+// parent: the queue wait from the batch's opening to a worker taking
+// it, and the replay. Stages a stubbed executor never stamped are
+// skipped by Add.
 func (t *reqTrack) attachBatchSpans(parent int, b *batch) {
 	if b == nil {
 		return
 	}
-	t.tr.Add("coalesce_wait", parent, b.created, b.dispatched)
-	t.tr.Add("queue_wait", parent, b.dispatched, b.execStart)
+	t.tr.Add("queue_wait", parent, b.created, b.execStart)
 	t.tr.Add("replay", parent, b.execStart, b.replayDone)
 }
 
@@ -160,8 +158,7 @@ func observeBatchStages(b *batch) {
 	if !obs.Enabled {
 		return
 	}
-	observeStage(stageCoalesceUS, b.created, b.dispatched)
-	observeStage(stageQueueUS, b.dispatched, b.execStart)
+	observeStage(stageQueueUS, b.created, b.execStart)
 	observeStage(stageReplayUS, b.execStart, b.replayDone)
 }
 

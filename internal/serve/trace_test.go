@@ -50,7 +50,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: 5 * time.Millisecond, ResultCache: cache})
+	_, ts := newTestService(t, Options{ResultCache: cache})
 
 	resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard","scale":"test"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -128,7 +128,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		for _, sp := range batchTrace.Spans {
 			bNames[sp.Name] = true
 		}
-		for _, want := range []string{"coalesce_wait", "queue_wait", "replay"} {
+		for _, want := range []string{"queue_wait", "replay"} {
 			if !bNames[want] {
 				t.Errorf("batch trace missing span %q: %+v", want, batchTrace.Spans)
 			}
@@ -145,7 +145,7 @@ func TestInboundTraceIDHonored(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/measure",
 		strings.NewReader(`{"workload":"goboard","scale":"test"}`))
@@ -192,7 +192,7 @@ func TestErrorBodiesCarryTraceID(t *testing.T) {
 		t.Skip("telemetry compiled out")
 	}
 	sv, ts := newTestService(t, Options{
-		Workers: 1, QueueDepth: 1, CoalesceWindow: time.Millisecond,
+		Workers: 1, QueueDepth: 1,
 	})
 	block := make(chan struct{})
 	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
@@ -276,7 +276,7 @@ func TestDebugRequestsFiltersHTTP(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard","scale":"test"}`)
 	postJSON(t, ts.URL+"/v1/measure", `{"workload":"bad-workload"}`)
 
@@ -329,7 +329,7 @@ func TestServeHistogramsExactAndMergeable(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	if resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("measure: status %d (%s)", resp.StatusCode, data)
 	}
