@@ -15,11 +15,7 @@ import (
 // withFVC attaches an FVC of the given geometry to a main cache,
 // exploiting the top (2^bits - 1) profiled values of w.
 func withFVC(w workload.Workload, scale workload.Scale, main cache.Params, entries, bits int) core.Config {
-	return core.Config{
-		Main:           main,
-		FVC:            &fvc.Params{Entries: entries, LineBytes: main.LineBytes, Bits: bits},
-		FrequentValues: topAccessed(w, scale, fvc.MaxValues(bits)),
-	}
+	return fvcCell(w, scale, main, entries, bits).config(w)
 }
 
 // --- Figure 10: miss-rate reduction vs FVC size ---
@@ -32,16 +28,14 @@ func runFig10(opt Options, out io.Writer) error {
 		return err
 	}
 
-	// One job per workload: the baseline and every FVC size ride a
-	// single fused replay pass over the workload's recording.
-	res, err := pmap(opt, len(suite), func(i int) ([]float64, error) {
-		w := suite[i]
-		cfgs := []core.Config{{Main: main}}
+	var cells []cell
+	for _, w := range suite {
+		cells = append(cells, baseCell(w, opt.Scale, main))
 		for _, e := range entries {
-			cfgs = append(cfgs, withFVC(w, opt.Scale, main, e, 3))
+			cells = append(cells, fvcCell(w, opt.Scale, main, e, 3))
 		}
-		return missPcts(w, opt.Scale, cfgs)
-	})
+	}
+	pct, err := measureCells(opt, cells)
 	if err != nil {
 		return err
 	}
@@ -51,11 +45,11 @@ func runFig10(opt Options, out io.Writer) error {
 		header = append(header, fmt.Sprintf("%de", e))
 	}
 	t := report.NewTable("Figure 10: % miss-rate reduction vs FVC entries (16KB DMC, 8 words/line, 7 values)", header...)
-	for wi, w := range suite {
-		base := res[wi][0]
+	for _, w := range suite {
+		base := pct[baseCell(w, opt.Scale, main)]
 		row := []string{label(w), report.F3(base)}
-		for ei := range entries {
-			row = append(row, report.F2(reduction(base, res[wi][1+ei]))+"%")
+		for _, e := range entries {
+			row = append(row, report.F2(reduction(base, pct[fvcCell(w, opt.Scale, main, e, 3)]))+"%")
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -112,73 +106,37 @@ func runFig12(opt Options, out io.Writer) error {
 		return err
 	}
 
-	type cfgKey struct{ szKB, line int }
-	var cfgs []cfgKey
+	type geom struct{ szKB, line int }
+	var geoms []geom
 	for _, l := range lines {
 		for _, s := range sizesKB {
-			cfgs = append(cfgs, cfgKey{s, l})
+			geoms = append(geoms, geom{s, l})
 		}
 	}
-
-	// One job per workload. The 12 plain-DMC baselines come from the
-	// analytic path — one Mattson pass per line size yields every size
-	// point at once (bit-identical to replay) — so the fused replay
-	// only carries the 36 FVC configurations the stack model cannot
-	// express. Results keep the original interleaved order (baseline,
-	// then the three value counts, per geometry).
-	res, err := pmap(opt, len(suite), func(i int) ([]float64, error) {
-		w := suite[i]
-		var batch []core.Config
-		for ci := range cfgs {
-			main := cache.Params{SizeBytes: cfgs[ci].szKB << 10, LineBytes: cfgs[ci].line, Assoc: 1}
+	dmc := func(g geom) cache.Params { return cache.Params{SizeBytes: g.szKB << 10, LineBytes: g.line, Assoc: 1} }
+	var cells []cell
+	for _, w := range suite {
+		for _, g := range geoms {
+			cells = append(cells, baseCell(w, opt.Scale, dmc(g)))
 			for _, bits := range bitsList {
-				batch = append(batch, withFVC(w, opt.Scale, main, 512, bits))
+				cells = append(cells, fvcCell(w, opt.Scale, dmc(g), 512, bits))
 			}
 		}
-		aug, err := missPcts(w, opt.Scale, batch)
-		if err != nil {
-			return nil, err
-		}
-		base := make(map[cfgKey]float64, len(cfgs))
-		for _, l := range lines {
-			sizes := make([]int, len(sizesKB))
-			for si, s := range sizesKB {
-				sizes[si] = s << 10
-			}
-			m, err := dmcMissPcts(opt, w, l, sizes)
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range sizesKB {
-				base[cfgKey{s, l}] = m[s<<10]
-			}
-		}
-		out := make([]float64, 0, len(cfgs)*(1+len(bitsList)))
-		for ci := range cfgs {
-			out = append(out, base[cfgs[ci]])
-			out = append(out, aug[ci*len(bitsList):(ci+1)*len(bitsList)]...)
-		}
-		return out, nil
-	})
+	}
+	pct, err := measureCells(opt, cells)
 	if err != nil {
 		return err
 	}
 
-	for wi, w := range suite {
+	for _, w := range suite {
 		t := report.NewTable(
 			fmt.Sprintf("Figure 12 (%s): %% miss-rate reduction with a 512-entry FVC", label(w)),
 			"DMC config", "DMC miss%", "top 1 value", "top 3 values", "top 7 values")
-		k := 0
-		for ci := range cfgs {
-			base := res[wi][k]
-			k++
-			row := []string{
-				fmt.Sprintf("%dKB/%dB", cfgs[ci].szKB, cfgs[ci].line),
-				report.F3(base),
-			}
-			for range bitsList {
-				row = append(row, report.F2(reduction(base, res[wi][k]))+"%")
-				k++
+		for _, g := range geoms {
+			base := pct[baseCell(w, opt.Scale, dmc(g))]
+			row := []string{fmt.Sprintf("%dKB/%dB", g.szKB, g.line), report.F3(base)}
+			for _, bits := range bitsList {
+				row = append(row, report.F2(reduction(base, pct[fvcCell(w, opt.Scale, dmc(g), 512, bits)]))+"%")
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -210,56 +168,26 @@ func runFig13(opt Options, out io.Writer) error {
 		return err
 	}
 
-	// One job per workload. The doubled-DMC baselines (bits == 0 cells)
-	// come from the analytic path — one Mattson pass per line size
-	// yields the whole doubled-size ladder at once, bit-identical to
-	// replay — so the fused replay carries only the FVC-augmented
-	// cells the stack model cannot express.
-	type cell struct{ line, szKB, bits int } // bits == 0 is the doubled DMC
+	// key is the small DMC of szKB plus a 512-entry FVC of bits, or,
+	// for bits == 0, the plain DMC of twice the size.
+	key := func(w workload.Workload, line, szKB, bits int) cell {
+		if bits == 0 {
+			return baseCell(w, opt.Scale, cache.Params{SizeBytes: (szKB * 2) << 10, LineBytes: line, Assoc: 1})
+		}
+		return fvcCell(w, opt.Scale, cache.Params{SizeBytes: szKB << 10, LineBytes: line, Assoc: 1}, 512, bits)
+	}
 	var cells []cell
-	for _, line := range lines {
-		for _, szKB := range sizesKB {
-			cells = append(cells, cell{line, szKB, 0})
-			for _, bits := range bitsList {
-				cells = append(cells, cell{line, szKB, bits})
+	for _, w := range ws {
+		for _, line := range lines {
+			for _, szKB := range sizesKB {
+				cells = append(cells, key(w, line, szKB, 0))
+				for _, bits := range bitsList {
+					cells = append(cells, key(w, line, szKB, bits))
+				}
 			}
 		}
 	}
-	res, err := pmap(opt, len(ws), func(i int) (map[cell]float64, error) {
-		w := ws[i]
-		var cfgs []core.Config
-		var augCells []cell
-		for _, c := range cells {
-			if c.bits == 0 {
-				continue
-			}
-			small := cache.Params{SizeBytes: c.szKB << 10, LineBytes: c.line, Assoc: 1}
-			cfgs = append(cfgs, withFVC(w, opt.Scale, small, 512, c.bits))
-			augCells = append(augCells, c)
-		}
-		pcts, err := missPcts(w, opt.Scale, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		m := make(map[cell]float64, len(cells))
-		for ci, c := range augCells {
-			m[c] = pcts[ci]
-		}
-		for _, line := range lines {
-			doubled := make([]int, len(sizesKB))
-			for si, szKB := range sizesKB {
-				doubled[si] = (szKB * 2) << 10
-			}
-			byTotal, err := dmcMissPcts(opt, w, line, doubled)
-			if err != nil {
-				return nil, err
-			}
-			for _, szKB := range sizesKB {
-				m[cell{line, szKB, 0}] = byTotal[(szKB*2)<<10]
-			}
-		}
-		return m, nil
-	})
+	pct, err := measureCells(opt, cells)
 	if err != nil {
 		return err
 	}
@@ -271,12 +199,12 @@ func runFig13(opt Options, out io.Writer) error {
 					line, fvc.MaxValues(bits)),
 				"benchmark",
 				"4KB+FVC", "8KB", "8KB+FVC", "16KB", "16KB+FVC", "32KB", "32KB+FVC", "64KB")
-			for wi, w := range ws {
+			for _, w := range ws {
 				row := []string{label(w)}
 				for _, szKB := range sizesKB {
 					row = append(row,
-						report.F3(res[wi][cell{line, szKB, bits}]),
-						report.F3(res[wi][cell{line, szKB, 0}]))
+						report.F3(pct[key(w, line, szKB, bits)]),
+						report.F3(pct[key(w, line, szKB, 0)]))
 				}
 				t.Rows = append(t.Rows, row)
 			}
@@ -303,27 +231,23 @@ func runFig14(opt Options, out io.Writer) error {
 		return err
 	}
 	assocs := []int{1, 2, 4}
-	// One job per workload: each associativity's baseline and augmented
-	// config pair replays in one fused pass (the associative lanes take
-	// the generic probe path, the direct-mapped ones stay fast).
-	res, err := pmap(opt, len(suite), func(i int) ([]float64, error) {
-		w := suite[i]
-		var cfgs []core.Config
+	main := func(assoc int) cache.Params { return cache.Params{SizeBytes: 16 << 10, LineBytes: 32, Assoc: assoc} }
+	var cells []cell
+	for _, w := range suite {
 		for _, a := range assocs {
-			main := cache.Params{SizeBytes: 16 << 10, LineBytes: 32, Assoc: a}
-			cfgs = append(cfgs, core.Config{Main: main}, withFVC(w, opt.Scale, main, 512, 3))
+			cells = append(cells, baseCell(w, opt.Scale, main(a)), fvcCell(w, opt.Scale, main(a), 512, 3))
 		}
-		return missPcts(w, opt.Scale, cfgs)
-	})
+	}
+	pct, err := measureCells(opt, cells)
 	if err != nil {
 		return err
 	}
 	t := report.NewTable("Figure 14: % miss-rate reduction from a 512-entry FVC vs main-cache associativity (16KB, 8wpl, 7 values)",
 		"benchmark", "DM miss%", "DM reduction", "2-way miss%", "2-way reduction", "4-way miss%", "4-way reduction")
-	for wi, w := range suite {
+	for _, w := range suite {
 		row := []string{label(w)}
-		for ai := range assocs {
-			base, aug := res[wi][2*ai], res[wi][2*ai+1]
+		for _, a := range assocs {
+			base, aug := pct[baseCell(w, opt.Scale, main(a))], pct[fvcCell(w, opt.Scale, main(a), 512, 3)]
 			row = append(row, report.F3(base), report.F2(reduction(base, aug))+"%")
 		}
 		t.Rows = append(t.Rows, row)
@@ -342,28 +266,22 @@ func runFig15(opt Options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	type row struct {
-		base, vcEq, fvcEq, vcTime, fvcTime float64
+	victim := func(w workload.Workload, entries int) cell {
+		c := baseCell(w, opt.Scale, main)
+		c.victim = entries
+		return c
 	}
-	// One job per workload: the baseline, both victim caches and both
-	// FVC sizings replay in a single fused pass.
-	rows, err := pmap(opt, len(suite), func(i int) (row, error) {
-		w := suite[i]
-		pcts, err := missPcts(w, opt.Scale, []core.Config{
-			{Main: main},
+	var cells []cell
+	for _, w := range suite {
+		cells = append(cells,
+			baseCell(w, opt.Scale, main),
 			// Equal area: 16-entry VC vs 128-entry FVC (paper's sizing
 			// including tags).
-			{Main: main, VictimEntries: 16},
-			withFVC(w, opt.Scale, main, 128, 3),
+			victim(w, 16), fvcCell(w, opt.Scale, main, 128, 3),
 			// Equal access time: 4-entry VC (9ns) vs 512-entry FVC (6ns).
-			{Main: main, VictimEntries: 4},
-			withFVC(w, opt.Scale, main, 512, 3),
-		})
-		if err != nil {
-			return row{}, err
-		}
-		return row{base: pcts[0], vcEq: pcts[1], fvcEq: pcts[2], vcTime: pcts[3], fvcTime: pcts[4]}, nil
-	})
+			victim(w, 4), fvcCell(w, opt.Scale, main, 512, 3))
+	}
+	pct, err := measureCells(opt, cells)
 	if err != nil {
 		return err
 	}
@@ -371,12 +289,11 @@ func runFig15(opt Options, out io.Writer) error {
 		"benchmark", "DMC miss%", "VC reduction", "FVC reduction")
 	tb := report.NewTable("Figure 15b: equal access time — 4-entry VC vs 512-entry FVC (4KB DMC, 8wpl)",
 		"benchmark", "DMC miss%", "VC reduction", "FVC reduction")
-	for i, w := range suite {
-		r := rows[i]
-		ta.AddRow(label(w), report.F3(r.base),
-			report.F2(reduction(r.base, r.vcEq))+"%", report.F2(reduction(r.base, r.fvcEq))+"%")
-		tb.AddRow(label(w), report.F3(r.base),
-			report.F2(reduction(r.base, r.vcTime))+"%", report.F2(reduction(r.base, r.fvcTime))+"%")
+	for _, w := range suite {
+		base := pct[baseCell(w, opt.Scale, main)]
+		red := func(c cell) string { return report.F2(reduction(base, pct[c])) + "%" }
+		ta.AddRow(label(w), report.F3(base), red(victim(w, 16)), red(fvcCell(w, opt.Scale, main, 128, 3)))
+		tb.AddRow(label(w), report.F3(base), red(victim(w, 4)), red(fvcCell(w, opt.Scale, main, 512, 3)))
 	}
 	ta.AddNote("paper: at equal size the VC outperforms the FVC")
 	render(opt, out, ta)

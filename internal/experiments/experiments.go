@@ -14,7 +14,6 @@ import (
 
 	"fvcache/internal/core"
 	"fvcache/internal/harness"
-	"fvcache/internal/mrc"
 	"fvcache/internal/report"
 	"fvcache/internal/sim"
 	"fvcache/internal/trace"
@@ -50,7 +49,8 @@ func (o Options) context() context.Context {
 // harness: a panicking task becomes an error with its stack, the first
 // failure cancels the remaining tasks, and opt.Ctx cancellation is
 // observed between tasks. Every experiment's fan-out goes through
-// here so no Run can take down a sweep.
+// here or through measureCells's harness.Map, so no Run can take down
+// a sweep.
 func pmap[T any](opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	return harness.Map(opt.context(), n, harness.MapOptions{Workers: opt.Workers},
 		func(_ context.Context, i int) (T, error) { return fn(i) })
@@ -149,10 +149,9 @@ func measureRec(w workload.Workload, scale workload.Scale, cfg core.Config, mo s
 }
 
 // measureBatch replays w's shared recording once, driving every config
-// in cfgs in lockstep through the fused batch engine. Sweeps group
-// their jobs by workload and fan the whole configuration batch through
-// this single pass; parallelism comes from workloads via pmap, not
-// from redundant re-decodes of the same recording.
+// in cfgs in lockstep through the fused batch engine. It serves the
+// experiments that need more than a miss rate; those that need only
+// that ask measureCells.
 func measureBatch(w workload.Workload, scale workload.Scale, cfgs []core.Config, mo sim.MeasureOptions) ([]sim.MeasureResult, error) {
 	rec, err := recording(w, scale)
 	if err != nil {
@@ -166,59 +165,6 @@ func measureBatch(w workload.Workload, scale workload.Scale, cfgs []core.Config,
 		return nil, fmt.Errorf("measuring %s: %w", w.Name(), err)
 	}
 	return res, nil
-}
-
-// missPcts is measureBatch reduced to per-config miss rates in %.
-func missPcts(w workload.Workload, scale workload.Scale, cfgs []core.Config) ([]float64, error) {
-	res, err := measureBatch(w, scale, cfgs, sim.MeasureOptions{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(res))
-	for i, r := range res {
-		out[i] = r.Stats.MissRate() * 100
-	}
-	return out, nil
-}
-
-// dmcMissPcts computes plain direct-mapped-cache miss percentages
-// analytically: ONE Mattson reuse-distance pass per line size replaces
-// one fused-replay lane per size point. The result is keyed by cache
-// size in bytes and is bit-identical (in miss counts) to a replay of
-// each geometry — exact because a plain DMC is pure set-indexed LRU;
-// FVC, victim-cache and L2 configurations stay on the replay engine.
-func dmcMissPcts(opt Options, w workload.Workload, lineBytes int, sizesBytes []int) (map[int]float64, error) {
-	rec, err := recording(w, opt.Scale)
-	if err != nil {
-		return nil, err
-	}
-	maxSize := 0
-	sets := make([]int, 0, len(sizesBytes))
-	for _, sz := range sizesBytes {
-		if sz > maxSize {
-			maxSize = sz
-		}
-		sets = append(sets, sz/lineBytes)
-	}
-	res, err := mrc.Analyze(rec, mrc.Options{
-		LineBytes:    lineBytes,
-		MaxSizeBytes: maxSize,
-		SetCounts:    sets,
-		// Only the direct-mapped point of each geometry is consumed, so
-		// MaxAssoc 1 selects the fused last-line-table fast path (which
-		// needs no Shards fan-out — see mrc's dmtable.go).
-		MaxAssoc: 1,
-		Ctx:      opt.context(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mrc pass %s: %w", w.Name(), err)
-	}
-	out := make(map[int]float64, len(res.Curves))
-	for _, c := range res.Curves {
-		// The direct-mapped point of each per-set curve is assoc 1.
-		out[c.Sets*lineBytes] = c.Points[0].MissRatio * 100
-	}
-	return out, nil
 }
 
 // suite resolves a list of workload names, failing (not panicking) on

@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fvcache/internal/cache"
 	"fvcache/internal/core"
+	"fvcache/internal/fvc"
+	"fvcache/internal/obs"
+	"fvcache/internal/sim"
 	"fvcache/internal/workload"
 )
 
@@ -221,8 +227,8 @@ func TestXFVCAssoc(t *testing.T) {
 	runAndCheck(t, "xfvcassoc", "associativity", "2-way FVC red.", "4-way FVC red.")
 }
 
-// TestDMCMissPctsMatchesReplay pins the analytic baseline path the
-// DMC-size sweeps (fig12/fig13) now use: the Mattson-pass miss
+// TestDMCMissPctsMatchesReplay pins the analytic path the cell cache
+// routes every plain direct-mapped cell to: the Mattson-pass miss
 // percentages must equal fused-replay measurements of the same plain
 // direct-mapped geometries.
 func TestDMCMissPctsMatchesReplay(t *testing.T) {
@@ -230,10 +236,13 @@ func TestDMCMissPctsMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOpts()
+	rec, err := recording(w, workload.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const line = 32
 	sizes := []int{4 << 10, 8 << 10, 16 << 10, 64 << 10}
-	analytic, err := dmcMissPcts(opt, w, line, sizes)
+	analytic, err := dmcMissPcts(context.Background(), rec, line, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +250,218 @@ func TestDMCMissPctsMatchesReplay(t *testing.T) {
 	for _, sz := range sizes {
 		cfgs = append(cfgs, core.Config{Main: cache.Params{SizeBytes: sz, LineBytes: line, Assoc: 1}})
 	}
-	replay, err := missPcts(w, opt.Scale, cfgs)
+	replay, err := sim.MeasureRecordedBatch(rec, cfgs, sim.MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sz := range sizes {
-		if analytic[sz] != replay[i] {
-			t.Errorf("%dKB: analytic %v%%, replay %v%%", sz>>10, analytic[sz], replay[i])
+		if want := replay[i].Stats.MissRate() * 100; analytic[sz] != want {
+			t.Errorf("%dKB: analytic %v%%, replay %v%%", sz>>10, analytic[sz], want)
 		}
+	}
+}
+
+// cellCase is a cell next to the configuration it stands for, built by
+// hand.
+type cellCase struct {
+	c   cell
+	cfg core.Config
+}
+
+// cellCases lists every kind of cell the cell cache routes, for w at
+// test scale: plain direct-mapped caches of several sizes and lines
+// (MRC), direct-mapped caches with FVCs of 1, 3 and 7 values, plain
+// and FVC-augmented 2- and 4-way caches, a 2-way FVC, both FVC
+// ablations and a victim cache (fused replay).
+func cellCases(w workload.Workload) []cellCase {
+	const scale = workload.Test
+	geom := func(sz, line, assoc int) cache.Params {
+		return cache.Params{SizeBytes: sz, LineBytes: line, Assoc: assoc}
+	}
+	withFV := func(main cache.Params, entries, bits int) core.Config {
+		return core.Config{
+			Main:           main,
+			FVC:            &fvc.Params{Entries: entries, LineBytes: main.LineBytes, Bits: bits},
+			FrequentValues: sim.Profiles.TopAccessed(w, scale, fvc.MaxValues(bits)),
+		}
+	}
+	var cases []cellCase
+	for _, g := range []cache.Params{geom(4<<10, 32, 1), geom(8<<10, 16, 1), geom(16<<10, 32, 1), geom(64<<10, 64, 1), geom(4<<10, 8, 1)} {
+		cases = append(cases, cellCase{baseCell(w, scale, g), core.Config{Main: g}})
+	}
+	dm := geom(16<<10, 32, 1)
+	for _, bits := range []int{1, 2, 3} {
+		cases = append(cases, cellCase{fvcCell(w, scale, dm, 512, bits), withFV(dm, 512, bits)})
+	}
+	for _, a := range []int{2, 4} {
+		g := geom(16<<10, 32, a)
+		cases = append(cases,
+			cellCase{baseCell(w, scale, g), core.Config{Main: g}},
+			cellCase{fvcCell(w, scale, g, 512, 3), withFV(g, 512, 3)})
+	}
+	assoc := fvcCell(w, scale, dm, 512, 3)
+	assoc.fvc.Assoc = 2
+	assocCfg := withFV(dm, 512, 3)
+	assocCfg.FVC.Assoc = 2
+	noAlloc := fvcCell(w, scale, dm, 512, 3)
+	noAlloc.noWriteMissAllocate = true
+	noAllocCfg := withFV(dm, 512, 3)
+	noAllocCfg.NoWriteMissAllocate = true
+	skip := fvcCell(w, scale, dm, 512, 3)
+	skip.skipEmptyFootprints = true
+	skipCfg := withFV(dm, 512, 3)
+	skipCfg.SkipEmptyFootprints = true
+	small := geom(4<<10, 32, 1)
+	victim := baseCell(w, scale, small)
+	victim.victim = 16
+	return append(cases,
+		cellCase{assoc, assocCfg},
+		cellCase{noAlloc, noAllocCfg},
+		cellCase{skip, skipCfg},
+		cellCase{victim, core.Config{Main: small, VictimEntries: 16}})
+}
+
+// TestCellCacheMatchesReplay checks the cell cache's routing and
+// fusing against the plainest measurement: every cell's miss rate must
+// equal a standalone replay of that one configuration, bit for bit.
+func TestCellCacheMatchesReplay(t *testing.T) {
+	ws, err := fvlSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []cellCase
+	for _, w := range ws {
+		cases = append(cases, cellCases(w)...)
+	}
+	cells := make([]cell, len(cases))
+	for i, k := range cases {
+		cells[i] = k.c
+	}
+	pct, err := measureCells(testOpts(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range cases {
+		w, err := workload.Get(k.c.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := recording(w, workload.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.MeasureRecordedBatch(rec, []core.Config{k.cfg}, sim.MeasureOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res[0].Stats.MissRate() * 100; pct[k.c] != want {
+			t.Errorf("%s %+v: cell cache %v%%, replay %v%%", k.c.workload, k.c, pct[k.c], want)
+		}
+	}
+}
+
+// TestPlanCellsRouting checks where the cell cache sends each cell:
+// plain direct-mapped cells to one MRC pass per (workload, line size),
+// every other cell to one fused replay per (workload, main geometry),
+// each distinct cell exactly once.
+func TestPlanCellsRouting(t *testing.T) {
+	ws, err := fvlSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []cell
+	for _, w := range ws[:2] {
+		for _, k := range cellCases(w) {
+			cells = append(cells, k.c, k.c) // each twice
+		}
+	}
+	jobs, err := planCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type group struct {
+		workload string
+		mrc      bool
+		main     cache.Params
+	}
+	groups := map[group]bool{}
+	planned := map[cell]bool{}
+	for _, j := range jobs {
+		first := j.cells[0]
+		mrc := first.plainDM()
+		g := group{first.workload, mrc, first.main}
+		if mrc {
+			g.main = cache.Params{LineBytes: first.main.LineBytes}
+		}
+		if groups[g] {
+			t.Errorf("two jobs for %+v", g)
+		}
+		groups[g] = true
+		for _, c := range j.cells {
+			switch {
+			case planned[c]:
+				t.Errorf("%+v planned twice", c)
+			case c.workload != j.w.Name() || c.workload != first.workload:
+				t.Errorf("%+v in a %s job", c, j.w.Name())
+			case mrc != c.plainDM():
+				t.Errorf("%+v in a job with MRC %v", c, mrc)
+			case mrc && c.main.LineBytes != first.main.LineBytes:
+				t.Errorf("%+v in an MRC job of %dB lines", c, first.main.LineBytes)
+			case !mrc && c.main != first.main:
+				t.Errorf("%+v in a replay of %v", c, first.main)
+			}
+			planned[c] = true
+		}
+	}
+	if want := len(cells) / 2; len(planned) != want {
+		t.Errorf("planned %d cells, want %d", len(planned), want)
+	}
+	bad := baseCell(ws[0], workload.Test, cache.Params{SizeBytes: 3 << 10, LineBytes: 32, Assoc: 1})
+	if _, err := planCells([]cell{bad}); err == nil {
+		t.Error("a cell with 96 sets was planned")
+	}
+}
+
+// TestCellCacheCancelStoresNothing cancels a measurement once its first
+// fused replay has finished: the call fails and the cache keeps
+// nothing, not even the passes that finished.
+func TestCellCacheCancelStoresNothing(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("counters compiled out")
+	}
+	ctx, cancel := context.WithCancel(WithCellCache(context.Background()))
+	defer cancel()
+	cc := ctx.Value(cellCacheKey{}).(*cellCache)
+	ws, err := fvlSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []cell
+	for _, w := range ws {
+		for _, k := range cellCases(w) {
+			cells = append(cells, k.c)
+		}
+	}
+	replayed, done := obs.ReplayEvents.Load(), make(chan struct{})
+	go func() {
+		for obs.ReplayEvents.Load() == replayed {
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+		cancel()
+	}()
+	_, err = measureCells(Options{Scale: workload.Test, Workers: 1, Ctx: ctx}, cells)
+	close(done)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("measureCells = %v, want context.Canceled", err)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.pct) != 0 {
+		t.Errorf("cancelled measurement cached %d cells", len(cc.pct))
 	}
 }

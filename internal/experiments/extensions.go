@@ -11,6 +11,7 @@ import (
 	"fvcache/internal/report"
 	"fvcache/internal/sim"
 	"fvcache/internal/trace"
+	"fvcache/internal/workload"
 )
 
 // The x-series experiments go beyond the paper's artifacts: the
@@ -74,29 +75,33 @@ func runXAblation(opt Options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	t := report.NewTable("Extension: FVC design-choice ablations (16KB DMC + 512e/7v FVC, % miss reduction)",
-		"benchmark", "full design", "no write-miss alloc", "skip empty footprints")
-	rows, err := pmap(opt, len(suite), func(i int) ([]string, error) {
-		w := suite[i]
-		full := withFVC(w, opt.Scale, main, 512, 3)
+	// variants returns the full design and its two ablations.
+	variants := func(w workload.Workload) []cell {
+		full := fvcCell(w, opt.Scale, main, 512, 3)
 		noAlloc := full
-		noAlloc.NoWriteMissAllocate = true
+		noAlloc.noWriteMissAllocate = true
 		skipEmpty := full
-		skipEmpty.SkipEmptyFootprints = true
-		pcts, err := missPcts(w, opt.Scale, []core.Config{{Main: main}, full, noAlloc, skipEmpty})
-		if err != nil {
-			return nil, err
-		}
-		row := []string{label(w)}
-		for _, m := range pcts[1:] {
-			row = append(row, report.F2(reduction(pcts[0], m))+"%")
-		}
-		return row, nil
-	})
+		skipEmpty.skipEmptyFootprints = true
+		return []cell{full, noAlloc, skipEmpty}
+	}
+	var cells []cell
+	for _, w := range suite {
+		cells = append(append(cells, baseCell(w, opt.Scale, main)), variants(w)...)
+	}
+	pct, err := measureCells(opt, cells)
 	if err != nil {
 		return err
 	}
-	t.Rows = rows
+	t := report.NewTable("Extension: FVC design-choice ablations (16KB DMC + 512e/7v FVC, % miss reduction)",
+		"benchmark", "full design", "no write-miss alloc", "skip empty footprints")
+	for _, w := range suite {
+		base := pct[baseCell(w, opt.Scale, main)]
+		row := []string{label(w)}
+		for _, c := range variants(w) {
+			row = append(row, report.F2(reduction(base, pct[c]))+"%")
+		}
+		t.Rows = append(t.Rows, row)
+	}
 	t.AddNote("write-miss allocation is the dominant design choice for write-heavy value-skewed workloads")
 	render(opt, out, t)
 	return nil
@@ -110,8 +115,17 @@ func runXOnline(opt Options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var cells []cell
+	for _, w := range suite {
+		cells = append(cells, baseCell(w, opt.Scale, main), fvcCell(w, opt.Scale, main, 512, 3))
+	}
+	pct, err := measureCells(opt, cells)
+	if err != nil {
+		return err
+	}
 	t := report.NewTable("Extension: profiled vs online frequent-value identification (512e/7v FVC, % miss reduction)",
 		"benchmark", "profiled FVT", "online FVT", "FVT updates")
+	// The online FVT is no cell: it also reports its table updates.
 	rows, err := pmap(opt, len(suite), func(i int) ([]string, error) {
 		w := suite[i]
 		onlineCfg := core.Config{
@@ -119,22 +133,18 @@ func runXOnline(opt Options, out io.Writer) error {
 			FVC:            &fvc.Params{Entries: 512, LineBytes: main.LineBytes, Bits: 3},
 			OnlineFVTEvery: 100_000,
 		}
-		res, err := measureBatch(w, opt.Scale, []core.Config{
-			{Main: main},
-			withFVC(w, opt.Scale, main, 512, 3),
-			onlineCfg,
-		}, sim.MeasureOptions{})
+		res, err := measureBatch(w, opt.Scale, []core.Config{onlineCfg}, sim.MeasureOptions{})
 		if err != nil {
 			return nil, err
 		}
-		base := res[0].Stats.MissRate() * 100
-		profiled := res[1].Stats.MissRate() * 100
-		online := res[2].Stats.MissRate() * 100
+		base := pct[baseCell(w, opt.Scale, main)]
+		profiled := pct[fvcCell(w, opt.Scale, main, 512, 3)]
+		online := res[0].Stats.MissRate() * 100
 		return []string{
 			label(w),
 			report.F2(reduction(base, profiled)) + "%",
 			report.F2(reduction(base, online)) + "%",
-			fmt.Sprintf("%d", res[2].Stats.FVTUpdates),
+			fmt.Sprintf("%d", res[0].Stats.FVTUpdates),
 		}, nil
 	})
 	if err != nil {

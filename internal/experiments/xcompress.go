@@ -5,7 +5,6 @@ import (
 
 	"fvcache/internal/cache"
 	"fvcache/internal/compress"
-	"fvcache/internal/core"
 	"fvcache/internal/fpc"
 	"fvcache/internal/fvc"
 	"fvcache/internal/report"
@@ -24,18 +23,20 @@ func runXCompress(opt Options, out io.Writer) error {
 		return err
 	}
 
+	var cells []cell
+	for _, w := range suite {
+		cells = append(cells, baseCell(w, opt.Scale, main), fvcCell(w, opt.Scale, main, 512, 3))
+	}
+	pct, err := measureCells(opt, cells)
+	if err != nil {
+		return err
+	}
+
 	t := report.NewTable("Extension: FV-compressed data cache vs DMC+FVC (16KB, 8wpl)",
 		"benchmark", "DMC miss%", "DMC+FVC miss%", "FVcomp miss%", "lines compressed", "FPC bits/word")
 	rows, err := pmap(opt, len(suite), func(i int) ([]string, error) {
 		w := suite[i]
-		pcts, err := missPcts(w, opt.Scale, []core.Config{
-			{Main: main},
-			withFVC(w, opt.Scale, main, 512, 3),
-		})
-		if err != nil {
-			return nil, err
-		}
-		base, aug := pcts[0], pcts[1]
+		base, aug := pct[baseCell(w, opt.Scale, main)], pct[fvcCell(w, opt.Scale, main, 512, 3)]
 
 		// FV-compressed cache of the same physical size, using the
 		// same profiled top-7 values.

@@ -6,9 +6,9 @@ import (
 
 	"fvcache/internal/cache"
 	"fvcache/internal/core"
-	"fvcache/internal/fvc"
 	"fvcache/internal/report"
 	"fvcache/internal/sim"
+	"fvcache/internal/workload"
 )
 
 // runXL2 places a 128KB L2 behind the hierarchy and measures whether
@@ -60,35 +60,39 @@ func runXAssocFVC(opt Options, out io.Writer) error {
 		return err
 	}
 	assocs := []int{1, 2, 4}
+	// assocCell is the 512-entry/7-value FVC at the given associativity;
+	// 1-way is the paper's direct-mapped FVC, the cell with Assoc 0.
+	assocCell := func(w workload.Workload, a int) cell {
+		c := fvcCell(w, opt.Scale, main, 512, 3)
+		if a > 1 {
+			c.fvc.Assoc = a
+		}
+		return c
+	}
+	var cells []cell
+	for _, w := range suite {
+		cells = append(cells, baseCell(w, opt.Scale, main))
+		for _, a := range assocs {
+			cells = append(cells, assocCell(w, a))
+		}
+	}
+	pct, err := measureCells(opt, cells)
+	if err != nil {
+		return err
+	}
 	header := []string{"benchmark", "DMC miss%"}
 	for _, a := range assocs {
 		header = append(header, fmt.Sprintf("%d-way FVC red.", a))
 	}
 	t := report.NewTable("Extension: FVC associativity (16KB DMC + 512-entry/7v FVC)", header...)
-	rows, err := pmap(opt, len(suite), func(i int) ([]string, error) {
-		w := suite[i]
-		cfgs := []core.Config{{Main: main}}
+	for _, w := range suite {
+		base := pct[baseCell(w, opt.Scale, main)]
+		row := []string{label(w), report.F3(base)}
 		for _, a := range assocs {
-			cfgs = append(cfgs, core.Config{
-				Main:           main,
-				FVC:            &fvc.Params{Entries: 512, LineBytes: main.LineBytes, Bits: 3, Assoc: a},
-				FrequentValues: topAccessed(w, opt.Scale, 7),
-			})
+			row = append(row, report.F2(reduction(base, pct[assocCell(w, a)]))+"%")
 		}
-		pcts, err := missPcts(w, opt.Scale, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{label(w), report.F3(pcts[0])}
-		for _, m := range pcts[1:] {
-			row = append(row, report.F2(reduction(pcts[0], m))+"%")
-		}
-		return row, nil
-	})
-	if err != nil {
-		return err
+		t.Rows = append(t.Rows, row)
 	}
-	t.Rows = rows
 	t.AddNote("the paper's FVC is direct mapped; associativity helps when FVC entries conflict (many hot evicted lines per set)")
 	render(opt, out, t)
 	return nil

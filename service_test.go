@@ -46,7 +46,6 @@ func TestServiceSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
 	defer cmd.Process.Kill()
 
 	// The first stdout line announces the bound address.
@@ -70,6 +69,9 @@ func TestServiceSmoke(t *testing.T) {
 			}
 		}
 		drained <- saw
+		// Wait closes the stdout pipe, so it runs only once every line
+		// has been read.
+		exited <- cmd.Wait()
 	}()
 
 	// One measurement round trip.

@@ -157,7 +157,9 @@ func Sweep(ctx context.Context, req SweepRequest) (*SweepResult, error) {
 	if logW == nil {
 		logW = io.Discard
 	}
-	summary := harness.RunSweep(ctx, tasks, harness.SweepOptions{
+	// One cell cache per call: artifacts of this sweep share each
+	// cache cell's miss rate, and the next call measures afresh.
+	summary := harness.RunSweep(experiments.WithCellCache(ctx), tasks, harness.SweepOptions{
 		OutDir: req.OutDir,
 		Key:    fmt.Sprintf("scale=%s md=%v", req.Scale, req.Markdown),
 		Resume: req.Resume,
