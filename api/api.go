@@ -146,7 +146,7 @@ func (c Config) Fingerprint() string {
 			sb.WriteString(" vprofile")
 		}
 	}
-	if c.VictimEntries > 0 {
+	if c.VictimEntries != 0 {
 		fmt.Fprintf(&sb, " vc%d", c.VictimEntries)
 	}
 	if c.L2Bytes > 0 {
@@ -163,17 +163,20 @@ func (c Config) Fingerprint() string {
 
 // Materialize maps the wire config onto the core configuration.
 // values is the profile-derived frequent value table when
-// NeedsProfile, ignored otherwise.
+// NeedsProfile, ignored otherwise. It reads exactly the fields
+// Fingerprint encodes, so configs sharing a fingerprint materialize
+// identically (FuzzConfigFingerprint); OnlineFVTEvery only matters
+// with an FVC, so it is dropped without one.
 func (c Config) Materialize(values []uint32) fvcache.Config {
 	cfg := fvcache.Config{
 		Main:                fvcache.CacheParams{SizeBytes: c.MainBytes, LineBytes: c.LineBytes, Assoc: c.Assoc},
 		VictimEntries:       c.VictimEntries,
-		OnlineFVTEvery:      c.OnlineFVTEvery,
 		NoWriteMissAllocate: c.NoWriteMissAllocate,
 		SkipEmptyFootprints: c.SkipEmptyFootprints,
 	}
 	if c.FVCEntries > 0 {
 		cfg.FVC = &fvcache.FVCParams{Entries: c.FVCEntries, LineBytes: c.LineBytes, Bits: c.FVCBits}
+		cfg.OnlineFVTEvery = c.OnlineFVTEvery
 		switch {
 		case len(c.FrequentValues) > 0:
 			cfg.FrequentValues = c.FrequentValues

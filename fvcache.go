@@ -18,8 +18,8 @@
 //     per-point replay).
 //   - Sweep: the paper's experiment artifacts (see sweep.go).
 //
-// Every operation takes a context and honors cancellation at replay
-// chunk boundaries; all of them share the process-wide recording and
+// Every operation takes a context and checks it every 2^16 accesses
+// of a replay or MRC pass; all of them share the process-wide recording and
 // profile caches, so repeated calls against the same (workload, scale)
 // execute the workload only once.
 package fvcache

@@ -128,7 +128,7 @@ func measureCells(opt Options, cells []cell) (map[cell]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := harness.Map(ctx, len(jobs), harness.MapOptions{Workers: opt.Workers},
+	res, err := harness.Map(ctx, len(jobs), opt.Workers,
 		func(ctx context.Context, i int) ([]float64, error) { return jobs[i].run(ctx) })
 	if err != nil {
 		return nil, err

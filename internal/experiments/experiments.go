@@ -52,7 +52,7 @@ func (o Options) context() context.Context {
 // here or through measureCells's harness.Map, so no Run can take down
 // a sweep.
 func pmap[T any](opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	return harness.Map(opt.context(), n, harness.MapOptions{Workers: opt.Workers},
+	return harness.Map(opt.context(), n, opt.Workers,
 		func(_ context.Context, i int) (T, error) { return fn(i) })
 }
 

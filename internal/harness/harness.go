@@ -1,10 +1,8 @@
 // Package harness is the fault-tolerant run layer every entry point
 // routes through. It provides:
 //
-//   - Map: a context-aware parallel map with per-task panic recovery,
-//     optional per-task timeout, bounded retry with backoff for
-//     transient failures, and first-error cancellation. sim.ParallelMap
-//     is a thin panic-propagating wrapper over it.
+//   - Map: a bounded, context-aware parallel map with per-task panic
+//     recovery and first-error cancellation.
 //   - RunSweep: a sequential sweep runner with per-artifact panic
 //     isolation and graceful degradation — one failing artifact is
 //     reported (with its recovered stack trace) in a final failure
@@ -58,28 +56,6 @@ func Recover(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// transientError marks an error as transient (worth retrying).
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so that IsTransient reports true; Map retries
-// transient failures up to MapOptions.Retries times.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or any error it wraps) was marked
-// with Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
 }
 
 // StackOf returns the recovered stack trace inside err's chain, or nil

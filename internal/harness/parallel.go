@@ -2,65 +2,25 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
-	"time"
-
-	"fvcache/internal/obs"
 )
 
-// MapOptions tunes Map.
-type MapOptions struct {
-	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
-	Workers int
-	// TaskTimeout, when positive, bounds each task attempt. A timed-out
-	// attempt fails with a deadline error; its goroutine is abandoned
-	// (Go cannot preempt it) but its eventual result is discarded, so a
-	// wedged task cannot stall the whole map.
-	TaskTimeout time.Duration
-	// Retries is the number of additional attempts granted to a task
-	// whose error is retryable (see RetryIf). 0 disables retry.
-	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt. Zero retries immediately.
-	RetryBackoff time.Duration
-	// RetrySeed, when non-zero, jitters each backoff sleep to a uniform
-	// duration in [backoff/2, backoff*3/2), decorrelating retry storms
-	// when many tasks fail together (e.g. a shared resource hiccup).
-	// The jitter is drawn from a per-task RNG derived from this seed,
-	// so a given (seed, task) retries on an exactly reproducible
-	// schedule. 0 keeps the deterministic doubling backoff.
-	RetrySeed int64
-	// RetryIf decides whether a failed attempt is retried; nil means
-	// IsTransient (panics and plain errors are never retried by
-	// default: a deterministic simulator fails deterministically).
-	RetryIf func(error) bool
-}
-
-// TaskError reports which task of a Map failed, after how many
-// attempts.
+// TaskError reports which task of a Map failed.
 type TaskError struct {
-	Index    int
-	Attempts int
-	Err      error
+	Index int
+	Err   error
 }
 
 // Error formats the failure.
-func (e *TaskError) Error() string {
-	if e.Attempts > 1 {
-		return fmt.Sprintf("task %d (after %d attempts): %v", e.Index, e.Attempts, e.Err)
-	}
-	return fmt.Sprintf("task %d: %v", e.Index, e.Err)
-}
+func (e *TaskError) Error() string { return fmt.Sprintf("task %d: %v", e.Index, e.Err) }
 
 // Unwrap returns the underlying task failure.
 func (e *TaskError) Unwrap() error { return e.Err }
 
-// Map evaluates fn(ctx, 0..n-1) across up to opt.Workers goroutines and
-// returns the results in order.
+// Map evaluates fn(ctx, 0..n-1) across up to workers goroutines (<= 0
+// means GOMAXPROCS) and returns the results in order.
 //
 // Fault tolerance, in contrast to a bare errgroup:
 //
@@ -68,29 +28,20 @@ func (e *TaskError) Unwrap() error { return e.Err }
 //     can neither hang the internal WaitGroup nor kill sibling workers.
 //   - The first failure cancels the derived context: tasks not yet
 //     started are skipped, and running tasks observe ctx.Done().
-//   - Transient failures retry up to opt.Retries times with doubling
-//     backoff.
-//   - With opt.TaskTimeout set, a wedged task is abandoned after the
-//     deadline instead of blocking the map forever.
 //
 // On failure the returned slice still holds every result completed
 // before cancellation (zero values elsewhere), enabling graceful
 // degradation, and the error is a *TaskError for the first failure.
-func Map[T any](ctx context.Context, n int, opt MapOptions, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, ctx.Err()
 	}
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
-	}
-	retryIf := opt.RetryIf
-	if retryIf == nil {
-		retryIf = IsTransient
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -124,9 +75,14 @@ func Map[T any](ctx context.Context, n int, opt MapOptions, fn func(ctx context.
 				if i >= n {
 					return
 				}
-				v, attempts, err := runTask(ctx, i, opt, retryIf, fn)
+				var v T
+				err := Recover(func() error {
+					var ferr error
+					v, ferr = fn(ctx, i)
+					return ferr
+				})
 				if err != nil {
-					fail(&TaskError{Index: i, Attempts: attempts, Err: err})
+					fail(&TaskError{Index: i, Err: err})
 					return
 				}
 				out[i] = v
@@ -138,96 +94,4 @@ func Map[T any](ctx context.Context, n int, opt MapOptions, fn func(ctx context.
 		firstErr = ctx.Err()
 	}
 	return out, firstErr
-}
-
-// runTask runs one task with recovery, timeout and retry.
-func runTask[T any](ctx context.Context, i int, opt MapOptions, retryIf func(error) bool, fn func(ctx context.Context, i int) (T, error)) (v T, attempts int, err error) {
-	backoff := opt.RetryBackoff
-	var rng *rand.Rand // created lazily: most tasks never retry
-	for {
-		attempts++
-		v, err = attempt(ctx, i, opt.TaskTimeout, fn)
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			obs.HarnessTimeouts.Inc()
-		}
-		if err == nil || attempts > opt.Retries || !retryIf(err) || ctx.Err() != nil {
-			if attempts > 1 {
-				obs.HarnessRetries.Add(uint64(attempts - 1))
-			}
-			return v, attempts, err
-		}
-		if backoff > 0 {
-			if opt.RetrySeed != 0 && rng == nil {
-				rng = rand.New(rand.NewSource(retryTaskSeed(opt.RetrySeed, i)))
-			}
-			select {
-			case <-time.After(jitterBackoff(rng, backoff)):
-			case <-ctx.Done():
-				return v, attempts, err
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// retryTaskSeed derives a per-task RNG seed: tasks retrying off the
-// same base seed must not share a jitter stream (that would re-align
-// the very storms jitter exists to break up).
-func retryTaskSeed(seed int64, i int) int64 {
-	return seed + int64(i)*-4392928118023941123 // odd 64-bit multiplier spreads adjacent tasks
-}
-
-// jitterBackoff randomizes one backoff sleep to a uniform duration in
-// [d/2, 3d/2), keeping the expected sleep equal to the deterministic
-// schedule. A nil rng (RetrySeed 0) returns d unchanged.
-func jitterBackoff(rng *rand.Rand, d time.Duration) time.Duration {
-	if rng == nil || d <= 0 {
-		return d
-	}
-	return d/2 + time.Duration(rng.Int63n(int64(d)))
-}
-
-// attempt runs fn once, recovering panics and enforcing the timeout.
-func attempt[T any](ctx context.Context, i int, timeout time.Duration, fn func(ctx context.Context, i int) (T, error)) (T, error) {
-	var zero T
-	if timeout <= 0 {
-		var v T
-		err := Recover(func() error {
-			var ferr error
-			v, ferr = fn(ctx, i)
-			return ferr
-		})
-		if err != nil {
-			return zero, err
-		}
-		return v, nil
-	}
-	tctx, tcancel := context.WithTimeout(ctx, timeout)
-	defer tcancel()
-	type result struct {
-		v   T
-		err error
-	}
-	done := make(chan result, 1) // buffered: an abandoned task must not block
-	go func() {
-		var v T
-		err := Recover(func() error {
-			var ferr error
-			v, ferr = fn(tctx, i)
-			return ferr
-		})
-		done <- result{v, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return zero, r.err
-		}
-		return r.v, nil
-	case <-tctx.Done():
-		if ctx.Err() != nil {
-			return zero, ctx.Err() // parent cancelled, not a task fault
-		}
-		return zero, fmt.Errorf("task %d exceeded timeout %v: %w", i, timeout, context.DeadlineExceeded)
-	}
 }

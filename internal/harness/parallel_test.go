@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,7 @@ import (
 )
 
 func TestMapOrderAndCompleteness(t *testing.T) {
-	out, err := Map(context.Background(), 100, MapOptions{Workers: 8},
+	out, err := Map(context.Background(), 100, 8,
 		func(_ context.Context, i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +24,7 @@ func TestMapOrderAndCompleteness(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(context.Background(), 0, MapOptions{},
+	out, err := Map(context.Background(), 0, 0,
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("n=0: out=%v err=%v", out, err)
@@ -41,7 +40,7 @@ func TestMapPanicDoesNotHang(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		out, err = Map(context.Background(), 20, MapOptions{Workers: 4},
+		out, err = Map(context.Background(), 20, 4,
 			func(_ context.Context, i int) (int, error) {
 				if i == 3 {
 					panic(fmt.Sprintf("boom at %d", i))
@@ -73,11 +72,11 @@ func TestMapPanicDoesNotHang(t *testing.T) {
 	}
 }
 
-// TestMapFirstErrorCancels: after a failure, undispatched tasks are
-// skipped.
+// TestMapFirstErrorCancels: a failing task surfaces as a TaskError for
+// its index, and after it undispatched tasks are skipped.
 func TestMapFirstErrorCancels(t *testing.T) {
 	var calls atomic.Int64
-	_, err := Map(context.Background(), 100, MapOptions{Workers: 1},
+	_, err := Map(context.Background(), 100, 1,
 		func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
 			if i == 2 {
@@ -85,8 +84,9 @@ func TestMapFirstErrorCancels(t *testing.T) {
 			}
 			return i, nil
 		})
-	if err == nil {
-		t.Fatal("expected error")
+	var te *TaskError
+	if !errors.As(err, &te) || te.Index != 2 {
+		t.Fatalf("err = %v, want TaskError for index 2", err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("tasks run after first error: %d calls, want 3 (0,1,2)", got)
@@ -97,7 +97,7 @@ func TestMapContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	_, err := Map(ctx, 10, MapOptions{Workers: 2},
+	_, err := Map(ctx, 10, 2,
 		func(_ context.Context, i int) (int, error) { calls.Add(1); return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -107,101 +107,25 @@ func TestMapContextCancelled(t *testing.T) {
 	}
 }
 
-func TestMapRetryTransient(t *testing.T) {
-	var tries atomic.Int64
-	out, err := Map(context.Background(), 1, MapOptions{Retries: 3, RetryBackoff: time.Millisecond},
-		func(_ context.Context, i int) (string, error) {
-			if tries.Add(1) < 3 {
-				return "", Transient(errors.New("flaky backend"))
-			}
-			return "ok", nil
-		})
-	if err != nil {
-		t.Fatalf("transient failure not retried to success: %v", err)
-	}
-	if out[0] != "ok" || tries.Load() != 3 {
-		t.Errorf("out=%v tries=%d", out, tries.Load())
-	}
-}
-
+// TestMapNoRetryOnPermanentError: a failing task runs exactly once and
+// its error surfaces unchanged inside a TaskError for its index.
 func TestMapNoRetryOnPermanentError(t *testing.T) {
 	var tries atomic.Int64
-	_, err := Map(context.Background(), 1, MapOptions{Retries: 3},
+	cause := errors.New("deterministic failure")
+	_, err := Map(context.Background(), 1, 1,
 		func(_ context.Context, i int) (int, error) {
 			tries.Add(1)
-			return 0, errors.New("deterministic failure")
+			return 0, cause
 		})
 	if err == nil {
 		t.Fatal("expected error")
 	}
 	if tries.Load() != 1 {
-		t.Errorf("permanent error retried %d times", tries.Load()-1)
+		t.Errorf("failing task ran %d times, want 1", tries.Load())
 	}
 	var te *TaskError
-	if !errors.As(err, &te) || te.Attempts != 1 {
-		t.Errorf("err = %v, want single-attempt TaskError", err)
-	}
-}
-
-func TestMapRetryBudgetExhausted(t *testing.T) {
-	var tries atomic.Int64
-	_, err := Map(context.Background(), 1, MapOptions{Retries: 2},
-		func(_ context.Context, i int) (int, error) {
-			tries.Add(1)
-			return 0, Transient(errors.New("always down"))
-		})
-	if err == nil || tries.Load() != 3 {
-		t.Fatalf("err=%v tries=%d, want failure after 3 attempts", err, tries.Load())
-	}
-}
-
-func TestMapTaskTimeout(t *testing.T) {
-	start := time.Now()
-	_, err := Map(context.Background(), 1, MapOptions{TaskTimeout: 50 * time.Millisecond},
-		func(ctx context.Context, i int) (int, error) {
-			select {
-			case <-time.After(10 * time.Second):
-				return 0, nil
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-		})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("timeout took %v to fire", elapsed)
-	}
-}
-
-// TestMapTimeoutAbandonsWedgedTask: a task that ignores its context is
-// abandoned at the deadline rather than stalling the map.
-func TestMapTimeoutAbandonsWedgedTask(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	start := time.Now()
-	_, err := Map(context.Background(), 1, MapOptions{TaskTimeout: 50 * time.Millisecond},
-		func(_ context.Context, i int) (int, error) {
-			<-release // simulates a wedged simulation ignoring ctx
-			return 0, nil
-		})
-	if err == nil {
-		t.Fatal("expected timeout error")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Map blocked %v on a wedged task", elapsed)
-	}
-}
-
-func TestTransientMarker(t *testing.T) {
-	if IsTransient(errors.New("plain")) {
-		t.Error("plain error must not be transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", Transient(errors.New("inner")))) {
-		t.Error("wrapped transient error must stay transient")
-	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) must be nil")
+	if !errors.As(err, &te) || te.Index != 0 || !errors.Is(err, cause) {
+		t.Errorf("err = %v, want TaskError for index 0 wrapping the cause", err)
 	}
 }
 
@@ -220,64 +144,5 @@ func TestRecover(t *testing.T) {
 	}
 	if StackOf(err) == nil {
 		t.Error("StackOf must find the recovered stack")
-	}
-}
-
-// TestJitterBackoffPinned pins the jitter schedule: for a fixed
-// (RetrySeed, task) pair the sleeps are exactly reproducible, distinct
-// tasks draw distinct streams, and every draw stays within the
-// documented [d/2, 3d/2) envelope of the doubling schedule.
-func TestJitterBackoffPinned(t *testing.T) {
-	rng := rand.New(rand.NewSource(retryTaskSeed(42, 0)))
-	d := 100 * time.Millisecond
-	want := []time.Duration{81278675, 243856411, 301878760, 526624009}
-	for k, w := range want {
-		if got := jitterBackoff(rng, d); got != w {
-			t.Errorf("seed 42 task 0 draw %d: %v, want %v", k, got, w)
-		}
-		d *= 2
-	}
-
-	rng1 := rand.New(rand.NewSource(retryTaskSeed(42, 1)))
-	if got := jitterBackoff(rng1, 100*time.Millisecond); got != 102859459 {
-		t.Errorf("seed 42 task 1 draw 0: %v, want 102859459ns", got)
-	}
-
-	// Envelope: many seeds, many doublings, all within [d/2, 3d/2).
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(retryTaskSeed(seed, int(seed))))
-		for d := 10 * time.Millisecond; d <= 160*time.Millisecond; d *= 2 {
-			got := jitterBackoff(rng, d)
-			if got < d/2 || got >= d+d/2 {
-				t.Fatalf("seed %d: jitter %v outside [%v, %v)", seed, got, d/2, d+d/2)
-			}
-		}
-	}
-
-	// RetrySeed 0 (nil rng) keeps the exact deterministic backoff.
-	if got := jitterBackoff(nil, 100*time.Millisecond); got != 100*time.Millisecond {
-		t.Errorf("nil rng altered backoff: %v", got)
-	}
-}
-
-// TestMapRetryWithJitter: jittered retries still converge — the
-// behavior change is only in the sleep durations.
-func TestMapRetryWithJitter(t *testing.T) {
-	var tries atomic.Int32
-	out, err := Map(context.Background(), 4,
-		MapOptions{Workers: 2, Retries: 2, RetryBackoff: time.Millisecond, RetrySeed: 7},
-		func(_ context.Context, i int) (int, error) {
-			if tries.Add(1)%3 == 0 {
-				return 0, Transient(errors.New("flaky"))
-			}
-			return i * i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Errorf("out[%d] = %d, want %d", i, v, i*i)
-		}
 	}
 }

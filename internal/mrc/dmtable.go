@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fvcache/internal/obs"
-	"fvcache/internal/trace"
 )
 
 // Direct-mapped fast path (MaxAssoc == 1).
@@ -115,47 +114,18 @@ func (p *dmPass) views() []bucketed {
 	return out
 }
 
-// runSerialDM feeds a chunked recording through a fused pass, one
-// decoded chunk at a time. The fused loop subsumes per-model
-// set-range sharding — its per-access cost is below the cost of the
-// per-shard decode-and-filter scan — so DM passes always run serially
-// and Options.Shards only governs the stack engine.
-func runSerialDM(ctx context.Context, cr *trace.ChunkedRecording, models []model, lineShift uint) ([]bucketed, error) {
-	p := newDMPass(models)
-	var scratch trace.ChunkScratch
-	for ci := 0; ci < cr.Chunks(); ci++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		addrs, err := cr.DecodeChunkAddrs(ci, &scratch)
-		if err != nil {
-			return nil, err
-		}
-		p.feed(addrs, lineShift)
-		obs.MRCLines.Add(uint64(len(addrs)) * uint64(len(models)))
-	}
-	return p.views(), nil
-}
-
-// dmSegmentAccesses bounds how many raw-column accesses one feed call
-// covers: the cancellation / telemetry granularity of runRawDM.
-const dmSegmentAccesses = 1 << 16
-
-// runRawDM is runSerialDM over a recording's resident access columns:
-// when the caller holds the *trace.Recording itself there is nothing
-// to decode, and the fused pass walks the raw address column directly.
+// runRawDM feeds the address column through one fused pass. The
+// fused loop subsumes per-model set-range sharding, so a DM pass runs
+// on the calling goroutine and Options.Shards only governs the stack
+// loop.
 func runRawDM(ctx context.Context, addrs []uint32, models []model, lineShift uint) ([]bucketed, error) {
 	p := newDMPass(models)
-	for lo := 0; lo < len(addrs); lo += dmSegmentAccesses {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := lo + dmSegmentAccesses
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
-		p.feed(addrs[lo:hi], lineShift)
-		obs.MRCLines.Add(uint64(hi-lo) * uint64(len(models)))
+	err := eachSegment(ctx, addrs, func(seg []uint32) {
+		p.feed(seg, lineShift)
+		obs.MRCLines.Add(uint64(len(seg)) * uint64(len(models)))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p.views(), nil
 }

@@ -4,10 +4,11 @@
 // A K-point cache-size sweep replayed config-by-config costs O(K·N)
 // even with the fused batch engine; one Mattson pass costs O(N·log D)
 // (D = deepest reuse distance on the ladder) and yields the miss count
-// of EVERY power-of-two LRU size at once. The engine walks the
-// chunk-compressed address column (trace.ChunkedRecording, PR 7's
-// codec) exactly once per model, feeding per-set LRU stacks organized
-// as power-of-two depth banks (see stack.go).
+// of EVERY power-of-two LRU size at once. The engine reads one input,
+// the recording's resident access columns, through two loops over
+// address slices: the fused direct-mapped table loop (MaxAssoc == 1,
+// see dmtable.go) and the set-range stack loop, which feeds per-set
+// LRU stacks organized as power-of-two depth banks (see stack.go).
 //
 // Exactness contract: the curves are bit-identical in miss counts to a
 // fused replay of the same geometry whenever the geometry is pure
@@ -53,12 +54,14 @@ type Options struct {
 	// path (see dmtable.go) — the form the experiments' DMC size sweeps
 	// use. 0 means the full ladder up to MaxSizeBytes.
 	MaxAssoc int
-	// Shards bounds intra-pass parallelism: models with more sets than
-	// one shard can hold are split into independent set ranges fanned
-	// out over harness.Map. <= 1 runs the whole pass serially on the
-	// calling goroutine. This is wired to the -workers flag.
+	// Shards bounds the stack loop's parallelism: each model's sets are
+	// split into up to Shards independent set ranges, fanned out over
+	// harness.Map, each range walking the resident address column.
+	// <= 1 means one task per model, run one at a time. Direct-mapped
+	// passes ignore it. This is wired to the -workers flag.
 	Shards int
-	// Ctx, when non-nil, cancels the pass at the next chunk boundary.
+	// Ctx, when non-nil, cancels the pass at the next segment boundary
+	// (every 2^16 accesses).
 	Ctx context.Context
 }
 
@@ -199,25 +202,16 @@ type bucketed interface {
 	coldCount() uint64
 }
 
-// Analyze runs one reuse-distance pass over rec and returns the exact
-// miss-rate curve of every requested geometry family. The recording is
-// not mutated and may be shared. MaxAssoc==1 passes walk the
-// recording's resident access columns directly (nothing to decode);
-// everything else goes through the chunk-compressed form.
+// Analyze runs one reuse-distance pass over rec's resident access
+// columns and returns the exact miss-rate curve of every requested
+// geometry family. The recording is not mutated and may be shared.
+// MaxAssoc==1 passes run the fused direct-mapped table loop; every
+// other pass runs the set-range stack loop.
 func Analyze(rec *trace.Recording, opt Options) (*Result, error) {
 	opt, err := opt.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if opt.MaxAssoc == 1 {
-		return analyzeRawDM(rec, opt)
-	}
-	return AnalyzeChunked(rec.Chunked(0), opt)
-}
-
-// analyzeRawDM is the direct-mapped fast path over a recording's raw
-// access columns: opt is already normalized with MaxAssoc == 1.
-func analyzeRawDM(rec *trace.Recording, opt Options) (*Result, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -226,7 +220,12 @@ func analyzeRawDM(rec *trace.Recording, opt Options) (*Result, error) {
 	lineShift := uint(bits.TrailingZeros(uint(opt.LineBytes)))
 	models := newModels(opt)
 	ops, addrs, _ := rec.AccessColumns()
-	counts, err := runRawDM(ctx, addrs, models, lineShift)
+	var counts []bucketed
+	if opt.MaxAssoc == 1 {
+		counts, err = runRawDM(ctx, addrs, models, lineShift)
+	} else {
+		counts, err = runStacks(ctx, addrs, models, lineShift, max(opt.Shards, 1))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -237,6 +236,22 @@ func analyzeRawDM(rec *trace.Recording, opt Options) (*Result, error) {
 		}
 	}
 	return assemble(opt, models, counts, uint64(len(addrs)), stores), nil
+}
+
+// segmentAccesses bounds how many accesses one loop step covers: the
+// cancellation and telemetry granularity of both passes.
+const segmentAccesses = 1 << 16
+
+// eachSegment calls fn on consecutive segmentAccesses-long slices of
+// addrs, checking ctx before each one.
+func eachSegment(ctx context.Context, addrs []uint32, fn func(seg []uint32)) error {
+	for lo := 0; lo < len(addrs); lo += segmentAccesses {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		fn(addrs[lo:min(lo+segmentAccesses, len(addrs))])
+	}
+	return nil
 }
 
 // newModels expands normalized options into per-set-count models.
@@ -279,123 +294,29 @@ func assemble(opt Options, models []model, counts []bucketed, accesses, stores u
 	return res
 }
 
-// AnalyzeChunked is Analyze over an already-compressed recording,
-// avoiding a recompression when the caller (the replay engine, the
-// service layer) holds one.
-func AnalyzeChunked(cr *trace.ChunkedRecording, opt Options) (*Result, error) {
-	opt, err := opt.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	obs.MRCPasses.Inc()
-
-	lineShift := uint(bits.TrailingZeros(uint(opt.LineBytes)))
-	models := newModels(opt)
-
-	var counts []bucketed
-	if opt.MaxAssoc == 1 {
-		counts, err = runSerialDM(ctx, cr, models, lineShift)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var stacks []*stack
-		if opt.Shards > 1 {
-			stacks, err = runSharded(ctx, cr, models, lineShift, opt.Shards)
-		} else {
-			stacks, err = runSerial(ctx, cr, models, lineShift)
-		}
-		if err != nil {
-			return nil, err
-		}
-		counts = make([]bucketed, len(stacks))
-		for i, s := range stacks {
-			counts[i] = s
-		}
-	}
-
-	var stores uint64
-	for i := 0; i < cr.Chunks(); i++ {
-		stores += uint64(cr.ChunkStoreCount(i))
-	}
-	return assemble(opt, models, counts, cr.Accesses(), stores), nil
-}
-
-// runSerial decodes each chunk once and feeds every model's stacks
-// from the shared scratch buffer.
-func runSerial(ctx context.Context, cr *trace.ChunkedRecording, models []model, lineShift uint) ([]*stack, error) {
-	stacks := make([]*stack, len(models))
-	masks := make([]uint32, len(models))
-	for i, m := range models {
-		stacks[i] = newStack(m.sets, m.banks)
-		masks[i] = uint32(m.sets - 1)
-	}
-	var scratch trace.ChunkScratch
-	for ci := 0; ci < cr.Chunks(); ci++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		addrs, err := cr.DecodeChunkAddrs(ci, &scratch)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range stacks {
-			mask := masks[i]
-			for _, a := range addrs {
-				line := a >> lineShift
-				s.access(line&mask, line)
-			}
-		}
-		obs.MRCLines.Add(uint64(len(addrs)) * uint64(len(stacks)))
-	}
-	return stacks, nil
-}
-
-// runSharded fans each model's set ranges out over harness.Map. Every
-// shard decodes the (immutable, shared) chunk columns with its own
-// scratch — decode work is duplicated across shards, but the stack
-// updates dominate and the sets partition exactly, so merged
-// histograms equal the serial pass bit for bit.
-func runSharded(ctx context.Context, cr *trace.ChunkedRecording, models []model, lineShift uint, shards int) ([]*stack, error) {
+// runStacks fans each model's set ranges out over harness.Map, one
+// task per (model, set range); shards == 1 gives one task per model.
+// Every task walks the whole (immutable, shared) address column and
+// keeps only the accesses of its own sets. The sets partition
+// exactly, so the merged histograms do not depend on the shard count.
+func runStacks(ctx context.Context, addrs []uint32, models []model, lineShift uint, shards int) ([]bucketed, error) {
 	tasks := shardTasks(models, shards)
-	parts, err := harness.Map(ctx, len(tasks), harness.MapOptions{Workers: shards},
+	parts, err := harness.Map(ctx, len(tasks), shards,
 		func(ctx context.Context, ti int) (*stack, error) {
 			t := tasks[ti]
 			s := newStack(int(t.hi-t.lo), t.m.banks)
 			mask := uint32(t.m.sets - 1)
-			var scratch trace.ChunkScratch
-			for ci := 0; ci < cr.Chunks(); ci++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				addrs, err := cr.DecodeChunkAddrs(ci, &scratch)
-				if err != nil {
-					return nil, err
-				}
-				n := uint64(0)
-				for _, a := range addrs {
-					line := a >> lineShift
-					set := line & mask
-					if set < t.lo || set >= t.hi {
-						continue
-					}
-					s.access(set-t.lo, line)
-					n++
-				}
-				obs.MRCLines.Add(n)
-			}
-			return s, nil
+			err := eachSegment(ctx, addrs, func(seg []uint32) {
+				obs.MRCLines.Add(s.feed(seg, lineShift, mask, t.lo, t.hi))
+			})
+			return s, err
 		})
 	if err != nil {
 		return nil, err
 	}
 	// Merge each model's shard histograms back into one stack per
 	// model, in task order (tasks are grouped by model).
-	stacks := make([]*stack, 0, len(models))
+	counts := make([]bucketed, 0, len(models))
 	ti := 0
 	for _, m := range models {
 		n := shardCount(m, shards)
@@ -404,7 +325,7 @@ func runSharded(ctx context.Context, cr *trace.ChunkedRecording, models []model,
 			agg.merge(parts[ti+k])
 		}
 		ti += n
-		stacks = append(stacks, agg)
+		counts = append(counts, agg)
 	}
-	return stacks, nil
+	return counts, nil
 }

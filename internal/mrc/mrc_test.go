@@ -78,8 +78,8 @@ func TestMRCReplayEquivalence(t *testing.T) {
 }
 
 // TestMRCShardedMatchesSerial pins the set-range sharding: fanned-out
-// shards must reproduce the serial pass bit for bit, including shard
-// counts that do not divide the set counts.
+// shards must reproduce the one-task-per-model pass bit for bit,
+// including shard counts that do not divide the set counts.
 func TestMRCShardedMatchesSerial(t *testing.T) {
 	for _, w := range workload.All()[:4] {
 		w := w
@@ -203,7 +203,8 @@ func TestMRCValidation(t *testing.T) {
 }
 
 // TestMRCCancellation: a canceled context stops the pass at the next
-// chunk boundary, serial and sharded.
+// segment boundary, on the stack loop (one shard and two) and on the
+// direct-mapped loop.
 func TestMRCCancellation(t *testing.T) {
 	var rec trace.Recording
 	for i := 0; i < 1000; i++ {
@@ -211,10 +212,10 @@ func TestMRCCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, shards := range []int{1, 2} {
-		opt := Options{LineBytes: 32, SetCounts: []int{1, 4}, Ctx: ctx, Shards: shards}
+	for _, tc := range []struct{ shards, maxAssoc int }{{1, 0}, {2, 0}, {1, 1}} {
+		opt := Options{LineBytes: 32, SetCounts: []int{1, 4}, Ctx: ctx, Shards: tc.shards, MaxAssoc: tc.maxAssoc}
 		if _, err := Analyze(&rec, opt); err == nil {
-			t.Errorf("shards=%d: canceled pass returned no error", shards)
+			t.Errorf("shards=%d maxAssoc=%d: canceled pass returned no error", tc.shards, tc.maxAssoc)
 		}
 	}
 }
@@ -242,9 +243,9 @@ func TestMRCSteadyZeroAllocs(t *testing.T) {
 }
 
 // TestMRCMaxAssocOneMatchesFullLadder pins the direct-mapped fast
-// path: the fused last-line-table engine (MaxAssoc 1, raw-column and
-// chunked forms alike) must reproduce the assoc-1 point of every
-// Mattson-stack curve bit for bit, along with the trace-level totals.
+// path: the fused last-line-table engine (MaxAssoc 1) must reproduce
+// the assoc-1 point of every Mattson-stack curve bit for bit, along
+// with the trace-level totals.
 func TestMRCMaxAssocOneMatchesFullLadder(t *testing.T) {
 	opt := equivOptions()
 	for _, w := range workload.All()[:6] {
@@ -264,13 +265,6 @@ func TestMRCMaxAssocOneMatchesFullLadder(t *testing.T) {
 			dm, err := Analyze(rec, dmOpt)
 			if err != nil {
 				t.Fatal(err)
-			}
-			chunked, err := AnalyzeChunked(rec.Chunked(0), dmOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dm, chunked) {
-				t.Error("raw-column and chunked MaxAssoc=1 passes disagree")
 			}
 			if dm.Accesses != full.Accesses || dm.Loads != full.Loads ||
 				dm.Stores != full.Stores || dm.DistinctLines != full.DistinctLines {

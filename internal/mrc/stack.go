@@ -145,6 +145,23 @@ func (s *stack) access(localSet uint32, line uint32) {
 	s.bank[ni] = 0
 }
 
+// feed drives the accesses of addrs whose set (line & mask) lies in
+// this shard's range [lo, hi) through their stacks and returns how
+// many it took.
+func (s *stack) feed(addrs []uint32, lineShift uint, mask, lo, hi uint32) uint64 {
+	n := uint64(0)
+	for _, a := range addrs {
+		line := a >> lineShift
+		set := line & mask
+		if set < lo || set >= hi {
+			continue
+		}
+		s.access(set-lo, line)
+		n++
+	}
+	return n
+}
+
 // push inserts a first-touch line at the front of its set's stack.
 func (s *stack) push(localSet uint32, line uint32) {
 	ni := int32(len(s.line))
@@ -205,6 +222,3 @@ func (s *stack) merge(o *stack) {
 
 // coldCount returns the first-touch (compulsory miss) count.
 func (s *stack) coldCount() uint64 { return s.cold }
-
-// distinct returns the number of distinct lines this stack saw.
-func (s *stack) distinct() uint64 { return uint64(len(s.line)) }

@@ -63,10 +63,6 @@ var (
 	LiveMeasures = Default.Counter("live_measures_total")
 	// HarnessPanics counts panics recovered at any harness boundary.
 	HarnessPanics = Default.Counter("harness_panics_total")
-	// HarnessRetries counts retry attempts granted by harness.Map.
-	HarnessRetries = Default.Counter("harness_retries_total")
-	// HarnessTimeouts counts task attempts abandoned on timeout.
-	HarnessTimeouts = Default.Counter("harness_timeouts_total")
 	// SweepTasksDone / SweepTasksFailed / SweepTasksSkipped count sweep
 	// task outcomes across harness.RunSweep calls.
 	SweepTasksDone    = Default.Counter("sweep_tasks_done_total")
