@@ -41,8 +41,10 @@ lint-examples:
 # the obsoff test runs of the telemetry, serving, engine and public
 # api/client packages plus the engine golden digest, short fuzz smokes
 # over the hardened trace reader, the columnar chunk codec, the
-# result-cache entry codec and the config fingerprint (the key every
-# cache and coalescing path trusts), a single-iteration pass over every
+# result-cache entry codec, the config fingerprint (the key every
+# cache and coalescing path trusts) and the /v1/measure and /v1/mrc
+# request decoders (no panic, every refusal an error envelope, every
+# 200 well-formed), a single-iteration pass over every
 # benchmark so the benchmark corpus cannot rot, and the -verify passes
 # over the committed artifacts: benchsweep checks BENCH_sweep.json
 # (every speedup layer holds its threshold — including the analytic
@@ -62,6 +64,8 @@ check: vet lint-examples build
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=5s
 	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=5s
 	$(GO) test ./api -run='^$$' -fuzz=FuzzConfigFingerprint -fuzztime=5s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMeasureRequest -fuzztime=5s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMRCRequest -fuzztime=5s
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchsweep -verify BENCH_sweep.json
 	$(GO) run ./cmd/serveload -verify BENCH_serve.json
@@ -86,6 +90,8 @@ fuzz:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=60s
 	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=60s
 	$(GO) test ./api -run='^$$' -fuzz=FuzzConfigFingerprint -fuzztime=60s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMeasureRequest -fuzztime=60s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMRCRequest -fuzztime=60s
 
 fmt:
 	gofmt -w .

@@ -325,17 +325,18 @@ type MRCSummary struct {
 	DistinctLines uint64 `json:"distinct_lines"`
 	Curves        int    `json:"curves"`
 	Points        int    `json:"points"`
-	// Requests is how many coalesced clients this flight served;
+	// Requests is how many coalesced clients this batch served;
 	// Coalesced is true when it was more than one.
 	Requests  int  `json:"requests"`
 	Coalesced bool `json:"coalesced"`
 	// CacheHit is true when the curve came from the durable result
 	// cache instead of a fresh analysis pass. A hit is answered before
-	// any flight opens, so it reports requests 1, coalesced false, and
+	// any batch opens, so it reports requests 1, coalesced false, and
 	// its own request ID as trace_id.
 	CacheHit bool `json:"cache_hit"`
-	// TraceID is the flight's trace ID, shared by every coalesced
-	// member of the singleflight (the request's own ID on a cache hit).
+	// TraceID is the batch's trace ID, shared by every coalesced
+	// member and recorded at /debug/requests as the batch's own trace
+	// (the request's own ID on a cache hit).
 	TraceID string `json:"trace_id,omitempty"`
 	// Node identifies the fleet node whose analysis pass (or cache)
 	// produced the curves; empty on a single-node server.

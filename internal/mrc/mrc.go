@@ -132,9 +132,11 @@ func (o Options) Normalize() (Options, error) {
 		if s < 1 || s&(s-1) != 0 {
 			return o, fmt.Errorf("mrc: set count %d must be a power of two", s)
 		}
-		if s*o.LineBytes > o.MaxSizeBytes {
-			return o, fmt.Errorf("mrc: set count %d needs %d bytes at assoc 1, above MaxSizeBytes %d",
-				s, s*o.LineBytes, o.MaxSizeBytes)
+		// s > MaxSizeBytes/LineBytes is s*LineBytes > MaxSizeBytes
+		// without the product, which wraps for huge set counts.
+		if s > o.MaxSizeBytes/o.LineBytes {
+			return o, fmt.Errorf("mrc: set count %d of %d-byte lines needs more than MaxSizeBytes %d at assoc 1",
+				s, o.LineBytes, o.MaxSizeBytes)
 		}
 	}
 	return o, nil

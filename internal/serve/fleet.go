@@ -98,10 +98,12 @@ func ownershipKey(workload string, scale fvcache.Scale, cfgFP, optsFP string) st
 }
 
 // fleetOwner decides whether the request should be proxied and to
-// whom. It returns a non-nil peer only when every config of the
-// request hashes to that same available, non-self owner; in every
-// other case it returns nil (execute locally) after recording why.
-func (s *Server) fleetOwner(r *http.Request, workload string, scale fvcache.Scale, optsFP string, cfgs []ConfigWire) *fleet.Peer {
+// whom. ringKeys are the ring keys of what the request asks for: one
+// per measure config (ownershipKey), or the MRC request's single key.
+// It returns a non-nil peer only when every key hashes to that same
+// available, non-self owner; in every other case it returns nil
+// (execute locally) after recording why.
+func (s *Server) fleetOwner(r *http.Request, ringKeys []string) *fleet.Peer {
 	if s.fleet == nil {
 		return nil
 	}
@@ -113,8 +115,8 @@ func (s *Server) fleetOwner(r *http.Request, workload string, scale fvcache.Scal
 		return nil
 	}
 	var owner *fleet.Peer
-	for i, cfg := range cfgs {
-		p := s.fleet.Owner(ownershipKey(workload, scale, cfg.Fingerprint(), optsFP))
+	for i, key := range ringKeys {
+		p := s.fleet.Owner(key)
 		if i == 0 {
 			owner = p
 		} else if p != owner {

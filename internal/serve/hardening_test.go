@@ -19,28 +19,41 @@ import (
 )
 
 // TestDeadlineExceeded: a request whose deadline fires while its batch
-// is still executing must get 504 with a retryable, machine-readable
-// body, and the executor must have seen the deadline on its context.
+// (a replay or an MRC pass) is still executing must get 504 with a
+// retryable, machine-readable body, and the executor must have seen
+// the deadline on its context, which ends once the batch's only
+// member's deadline has passed.
 func TestDeadlineExceeded(t *testing.T) {
-	sv, ts := newTestService(t, Options{Workers: 1})
-	sawDeadline := make(chan bool, 1)
-	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
-		_, ok := ctx.Deadline()
-		sawDeadline <- ok
-		<-ctx.Done() // simulate a replay that only stops at a chunk boundary
-		return nil, ctx.Err()
-	}
+	for _, path := range []string{"/v1/measure", "/v1/mrc"} {
+		t.Run(path[len("/v1/"):], func(t *testing.T) {
+			sv, ts := newTestService(t, Options{Workers: 1})
+			sawDeadline := make(chan bool, 1)
+			ended := make(chan struct{})
+			sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
+				_, ok := ctx.Deadline()
+				sawDeadline <- ok
+				<-ctx.Done() // simulate a pass that only stops at a segment boundary
+				close(ended)
+				return nil, ctx.Err()
+			}
 
-	resp, data := postJSON(t, ts.URL+"/v1/measure?deadline_ms=50", `{"workload":"goboard"}`)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
-	}
-	var e errorWire
-	if err := json.Unmarshal(data, &e); err != nil || !e.Retryable || e.Reason != "deadline_exceeded" {
-		t.Errorf("504 body not retryable/deadline_exceeded: %s", data)
-	}
-	if ok := <-sawDeadline; !ok {
-		t.Error("executor context carried no deadline")
+			resp, data := postJSON(t, ts.URL+path+"?deadline_ms=50", `{"workload":"goboard"}`)
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
+			}
+			var e errorWire
+			if err := json.Unmarshal(data, &e); err != nil || !e.Retryable || e.Reason != "deadline_exceeded" {
+				t.Errorf("504 body not retryable/deadline_exceeded: %s", data)
+			}
+			if ok := <-sawDeadline; !ok {
+				t.Error("executor context carried no deadline")
+			}
+			select {
+			case <-ended:
+			case <-time.After(5 * time.Second):
+				t.Error("executor context still live 5s after its only member's deadline")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Tests for the cache-hit fast path: the handlers probe the durable
-// result cache before coalescing, so a hit never opens a batch, arms a
-// coalescing timer, takes a queue slot or starts an MRC flight, and a
-// partial hit sends only its misses to a batch.
+// result cache before coalescing, so a hit never opens a batch (for a
+// measure or an MRC request) or takes a queue slot, and a partial hit
+// sends only its misses to a batch.
 package serve
 
 import (
@@ -205,20 +205,16 @@ func TestBreakerOpenStillServesHits(t *testing.T) {
 }
 
 // TestMRCHitSpawnsNoFlight: a cached curve set is answered without
-// running the analysis and without touching the singleflight table,
-// whose lock is held throughout.
+// running the analysis and without touching the pending table, whose
+// lock is held throughout.
 func TestMRCHitSpawnsNoFlight(t *testing.T) {
 	sv, ts := newTestService(t, Options{ResultCache: memCache(t)})
 	var nExec atomic.Int32
-	sv.execMRC = func(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error) {
+	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
 		nExec.Add(1)
-		return &fvcache.MRCResult{
-			LineBytes: req.LineBytes,
-			Accesses:  100, Loads: 60, Stores: 40, DistinctLines: 10,
-			Curves: []fvcache.MRCCurve{{Sets: 1, Points: []fvcache.MRCPoint{
-				{SizeBytes: 32, Assoc: 1, Misses: 50, MissRatio: 0.5},
-			}}},
-		}, nil
+		rs := stubResults(b)
+		sv.cache.Load().Put(mrcCacheKey(*b.mrc), rs)
+		return rs, nil
 	}
 	body := `{"workload":"goboard","line_bytes":32,"max_size_bytes":32}`
 	resp, cold := postJSON(t, ts.URL+"/v1/mrc", body)
@@ -229,18 +225,19 @@ func TestMRCHitSpawnsNoFlight(t *testing.T) {
 		t.Fatalf("cold request ran %d passes, want 1", n)
 	}
 
-	resp, warm := postHolding(t, &sv.mrcMu, ts.URL+"/v1/mrc", body)
-	sv.mrcMu.Lock()
-	flights := len(sv.mrcFlights)
-	sv.mrcMu.Unlock()
+	batches := sv.ServerStats().Batches
+	resp, warm := postHolding(t, &sv.mu, ts.URL+"/v1/mrc", body)
+	sv.mu.Lock()
+	open := len(sv.pending)
+	sv.mu.Unlock()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", resp.StatusCode, warm)
 	}
 	if n := nExec.Load(); n != 1 {
 		t.Errorf("hit ran the analysis (%d passes)", n)
 	}
-	if flights != 0 {
-		t.Errorf("hit left %d flights open", flights)
+	if n := sv.ServerStats().Batches - batches; open != 0 || n != 0 {
+		t.Errorf("hit left %d batches open and ran %d", open, n)
 	}
 	_, sum := mrcLines(t, warm)
 	if !sum.CacheHit || sum.Requests != 1 || sum.Coalesced {

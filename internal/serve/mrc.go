@@ -2,17 +2,17 @@ package serve
 
 // POST /v1/mrc: miss-rate curves from one Mattson reuse-distance pass.
 //
-// The endpoint mirrors /v1/measure's serving discipline at analytic
-// cost: the handler answers durable-cache hits itself, identical
-// concurrent misses are coalesced (singleflight on the normalized
-// request key — the first request executes, late arrivals wait on the
-// same flight), fresh curves are offered back to the cache, the
-// per-(workload, scale) circuit breaker and per-request deadlines apply
-// to misses, and the response streams one NDJSON line per curve point
-// followed by a summary line.
+// The endpoint shares /v1/measure's serving path: the handler answers
+// durable-cache hits itself, and a miss opens or joins an MRC batch
+// keyed by the normalized request in the same pending table, which
+// goes through the same queue, worker pool, breaker, batch deadline
+// and batch trace; the exec hook runs one sharded analysis pass for it
+// and offers the fresh curves back to the cache. The response streams
+// one NDJSON line per curve point followed by a summary line.
 //
 // Cache encoding: resultcache stores []fvcache.MeasureResult, so a
-// curve is framed into that shape losslessly — entry 0 is a header
+// curve is framed into that shape losslessly (the same framing carries
+// an executed batch's curves to its members) — entry 0 is a header
 // (Loads/Stores totals, DistinctLines in LineFetches) and each further
 // entry carries one point's miss count in Stats.Misses. Every other
 // coordinate of every point (set count, size, associativity, miss
@@ -20,25 +20,21 @@ package serve
 // cache key, so a warm hit reconstructs the response bit for bit.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"fvcache"
 	"fvcache/api"
-	"fvcache/internal/harness"
 	"fvcache/internal/obs"
 	"fvcache/internal/resultcache"
 )
 
 var (
 	mrcRequests  = obs.Default.Counter("serve_mrc_requests_total")
-	mrcCoalesced = obs.Default.Counter("serve_mrc_coalesced_total")
 	mrcCacheHits = obs.Default.Counter("serve_mrc_cache_hits_total")
 )
 
@@ -52,24 +48,6 @@ type (
 	// mrcSummaryWire is the trailing NDJSON line.
 	mrcSummaryWire = api.MRCSummary
 )
-
-// mrcFlight is one in-flight analysis shared by every identical
-// concurrent cache miss (singleflight: the first request executes
-// immediately and late arrivals join it mid-run).
-type mrcFlight struct {
-	done     chan struct{}
-	requests int
-	// id is the flight's trace ID, echoed in every member's summary.
-	id string
-
-	// Stage timestamps (zero when the stage never ran).
-	started  time.Time
-	passDone time.Time // analysis pass finished
-
-	res    *fvcache.MRCResult
-	status int
-	err    error
-}
 
 // mrcCacheKey derives the durable-cache key from a normalized request.
 // The geometry is folded into ConfigFP, so curve shape is recoverable
@@ -144,52 +122,6 @@ func decodeMRC(rs []fvcache.MeasureResult, req fvcache.MRCRequest) (*fvcache.MRC
 	return res, true
 }
 
-// runMRCFlight executes one flight: the analysis pass via the
-// (stub-able) execMRC hook, offering fresh curves to the durable cache.
-// Runs under the server's base context so one impatient client cannot
-// cancel its seat-mates.
-func (s *Server) runMRCFlight(f *mrcFlight, key string, req fvcache.MRCRequest) {
-	defer func() {
-		s.mrcMu.Lock()
-		if s.mrcFlights[key] == f {
-			delete(s.mrcFlights, key)
-		}
-		s.mrcMu.Unlock()
-		close(f.done)
-	}()
-
-	span := obs.Begin("serve:mrc:" + req.Workload)
-	defer span.Done()
-	f.started = time.Now()
-
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.opt.RequestTimeout)
-	defer cancel()
-
-	err := harness.Recover(func() error {
-		var execErr error
-		f.res, execErr = s.execMRC(ctx, req)
-		return execErr
-	})
-	f.passDone = time.Now()
-	s.brk.report(req.Workload+"|"+req.Scale.String(), err == nil || errors.Is(err, context.Canceled))
-	if err != nil {
-		f.status = execStatus(err)
-		f.err = err
-		obs.Log.Warn("mrc flight failed", "workload", req.Workload, "err", err.Error())
-		return
-	}
-	if cache := s.cache.Load(); cache != nil {
-		cache.Put(mrcCacheKey(req), encodeMRC(f.res))
-	}
-}
-
-// execMRCPass is the default execMRC hook: one sharded Mattson pass
-// through the public facade.
-func (s *Server) execMRCPass(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error) {
-	req.Shards = s.opt.Workers
-	return fvcache.MissRateCurves(ctx, req)
-}
-
 // handleMRC serves POST /v1/mrc.
 func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -245,112 +177,38 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 	observeStage(stageParseUS, start, time.Now())
 
 	// Fleet ownership: the MRC key (workload, scale, geometry) hashes
-	// to one owner whose singleflight and durable cache serve it for
-	// the whole fleet. Forwarded requests (guard header) run locally.
-	if s.fleet != nil {
-		if r.Header.Get(api.HeaderForwarded) != "" {
-			s.nReceived.Add(1)
-			fleetReceivedFwd.Inc()
-		} else {
-			key := ownershipKey(mreq.Workload, scale, ck.ConfigFP, "")
-			switch p := s.fleet.Owner(key); {
-			case p.Self():
-				s.nOwned.Add(1)
-				fleetLocalOwned.Inc()
-			case !s.fleet.Available(p):
-				s.nFallback.Add(1)
-				fleetForwardFallback.Inc()
-			default:
-				if s.forwardMRC(t, w, req, deadline, p) {
-					return
-				}
-				// Owner unreachable: fall through to the local path.
-			}
+	// to one owner whose batches and durable cache serve it for the
+	// whole fleet. Forwarded requests (guard header) run locally.
+	if owner := s.fleetOwner(r, []string{ownershipKey(mreq.Workload, scale, ck.ConfigFP, "")}); owner != nil {
+		if s.forwardMRC(t, w, req, deadline, owner) {
+			return
 		}
+		// Owner unreachable: fall through to the local path.
 	}
 
 	// A cached curve set is answered here, before the breaker and the
-	// singleflight table: a hit spawns no flight.
+	// pending table: a hit opens no batch.
 	if res := s.probeMRC(t, ck, mreq); res != nil {
 		mrcCacheHits.Inc()
 		s.writeMRC(t, w, mreq, res, mrcSummaryWire{Requests: 1, CacheHit: true, TraceID: t.tr.ID()}, "hit")
 		return
 	}
 
-	brkKey := mreq.Workload + "|" + scale.String()
-	if ok, retryAfter := s.brk.allow(brkKey); !ok {
-		breakerOpenTotal.Inc()
-		t.failFull(http.StatusServiceUnavailable,
-			fmt.Errorf("circuit breaker open for %s after repeated failures", brkKey),
-			true, "breaker_open", retryAfter)
+	res, ok := s.await(t, &batch{
+		key:      "mrc|" + mreq.Workload + "|" + scale.String() + "|" + ck.ConfigFP,
+		workload: mreq.Workload, scale: scale, mrc: &mreq,
+	}, nil, deadline)
+	if !ok {
 		return
 	}
-
-	// Singleflight on the normalized request: the first arrival starts
-	// the pass, identical concurrent requests wait on the same flight.
-	wait := t.tr.Begin("flight_wait", -1)
-	joined := false
-	key := fmt.Sprintf("%s|%s|%s", mreq.Workload, scale, ck.ConfigFP)
-	s.mrcMu.Lock()
-	f := s.mrcFlights[key]
-	if f == nil {
-		f = &mrcFlight{done: make(chan struct{}), requests: 1, id: s.rec.Mint()}
-		s.mrcFlights[key] = f
-		s.mrcMu.Unlock()
-		go s.runMRCFlight(f, key, mreq)
-	} else {
-		f.requests++
-		joined = true
-		s.mrcMu.Unlock()
-		mrcCoalesced.Inc()
-		coalescedTotal.Inc()
-		s.nCoalesced.Add(1)
-	}
-
-	var deadlineCh <-chan time.Time
-	if !deadline.IsZero() {
-		tm := time.NewTimer(time.Until(deadline))
-		defer tm.Stop()
-		deadlineCh = tm.C
-	}
-	select {
-	case <-f.done:
-		t.tr.Add("analyze", wait, f.started, f.passDone)
-		t.tr.End(wait)
-	case <-deadlineCh:
-		// This request's own deadline fired; the flight keeps running
-		// for its seat-mates.
-		t.tr.End(wait)
-		deadlineExceeded.Inc()
-		t.failFull(http.StatusGatewayTimeout,
-			fmt.Errorf("deadline of %s exceeded", time.Since(start).Round(time.Millisecond)),
-			true, "deadline_exceeded", time.Second)
-		return
-	case <-r.Context().Done():
-		t.tr.End(wait)
-		t.fail(http.StatusServiceUnavailable, r.Context().Err())
+	curves, ok := decodeMRC(res.results, mreq)
+	if !ok {
+		t.fail(http.StatusInternalServerError, errors.New("analysis result does not match the request's curve shape"))
 		return
 	}
-	if f.err != nil {
-		reqErrors.Inc()
-		if f.status == http.StatusGatewayTimeout {
-			deadlineExceeded.Inc()
-			t.failFull(f.status, f.err, true, "deadline_exceeded", time.Second)
-			return
-		}
-		t.fail(f.status, f.err)
-		return
-	}
-
-	// requests is racy against late joiners only until done closes; by
-	// now the flight is removed from the map, so the count is final.
-	class := "executed"
-	if joined {
-		class = "coalesced"
-	}
-	s.writeMRC(t, w, mreq, f.res, mrcSummaryWire{
-		Requests: f.requests, Coalesced: f.requests > 1, TraceID: f.id,
-	}, class)
+	s.writeMRC(t, w, mreq, curves, mrcSummaryWire{
+		Requests: res.info.Requests, Coalesced: res.info.Coalesced, TraceID: res.info.TraceID,
+	}, execClass(res.info.Coalesced))
 }
 
 // probeMRC returns the curve set the durable cache holds under ck for a
@@ -411,15 +269,4 @@ func (s *Server) writeMRC(t *reqTrack, w http.ResponseWriter, req fvcache.MRCReq
 	t.tr.End(encode)
 	observeStage(stageEncodeUS, encodeStart, time.Now())
 	t.finish(http.StatusOK, class)
-}
-
-// mrcState carries the endpoint's server fields (declared here to keep
-// the feature self-contained; embedded in Server).
-type mrcState struct {
-	mrcMu      sync.Mutex
-	mrcFlights map[string]*mrcFlight
-
-	// execMRC runs one analysis pass; tests stub it to control flight
-	// timing and count executions. Defaults to execMRCPass.
-	execMRC func(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error)
 }

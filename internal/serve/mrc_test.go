@@ -1,5 +1,5 @@
-// End-to-end tests for /v1/mrc: request validation, singleflight
-// coalescing of identical concurrent requests, durable result-cache
+// End-to-end tests for /v1/mrc: request validation, coalescing of
+// identical concurrent misses into one MRC batch, durable result-cache
 // warm hits (bit-identical replies), and NDJSON streaming.
 package serve
 
@@ -149,8 +149,8 @@ func TestMRCEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMRCCoalescing: identical concurrent requests share ONE analysis
-// flight. The exec hook is stubbed to block until every client has
+// TestMRCCoalescing: identical concurrent requests share ONE MRC
+// batch. The exec hook is stubbed to block until every client has
 // joined, so coalescing cannot be timing-dependent.
 func TestMRCCoalescing(t *testing.T) {
 	const clients = 6
@@ -158,16 +158,10 @@ func TestMRCCoalescing(t *testing.T) {
 
 	release := make(chan struct{})
 	var nExec atomic.Int32
-	sv.execMRC = func(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error) {
+	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
 		nExec.Add(1)
 		<-release
-		return &fvcache.MRCResult{
-			LineBytes: req.LineBytes,
-			Accesses:  100, Loads: 60, Stores: 40, DistinctLines: 10,
-			Curves: []fvcache.MRCCurve{{Sets: 1, Points: []fvcache.MRCPoint{
-				{SizeBytes: 32, Assoc: 1, Misses: 50, MissRatio: 0.5},
-			}}},
-		}, nil
+		return stubResults(b), nil
 	}
 
 	body := `{"workload":"goboard","line_bytes":32,"max_size_bytes":32}`
@@ -186,20 +180,20 @@ func TestMRCCoalescing(t *testing.T) {
 			_, summaries[i] = mrcLines(t, data)
 		}()
 	}
-	// Release only after every client holds a seat in the flight.
+	// Release only after every client holds a seat in the batch.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		sv.mrcMu.Lock()
+		sv.mu.Lock()
 		joined := 0
-		for _, f := range sv.mrcFlights {
-			joined += f.requests
+		for _, b := range sv.pending {
+			joined += len(b.subs)
 		}
-		sv.mrcMu.Unlock()
+		sv.mu.Unlock()
 		if joined >= clients {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests joined the flight", joined, clients)
+			t.Fatalf("only %d/%d requests joined the batch", joined, clients)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -230,10 +224,10 @@ func TestMRCResultCacheWarmHit(t *testing.T) {
 	sv, ts := newTestService(t, Options{ResultCache: cache})
 
 	nExec := 0
-	inner := sv.execMRC
-	sv.execMRC = func(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error) {
+	inner := sv.exec
+	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
 		nExec++
-		return inner(ctx, req)
+		return inner(ctx, b)
 	}
 
 	body := `{"workload":"strproc","line_bytes":32,"max_size_bytes":8192,"set_counts":[1,8]}`

@@ -34,6 +34,25 @@ func newTestService(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	return sv, ts
 }
 
+// stubResults is a stub exec's answer for b: one zero measurement per
+// config, or, for an MRC batch, curves of the request's shape over 100
+// accesses (60 loads, 40 stores, 10 distinct lines) in which every
+// point misses 50, framed as execBatch frames them.
+func stubResults(b *batch) []fvcache.MeasureResult {
+	if b.mrc == nil {
+		return make([]fvcache.MeasureResult, len(b.configs))
+	}
+	res := &fvcache.MRCResult{Loads: 60, Stores: 40, DistinctLines: 10}
+	for i, n := range b.mrc.LadderPoints() {
+		c := fvcache.MRCCurve{Sets: b.mrc.SetCounts[i], Points: make([]fvcache.MRCPoint, n)}
+		for j := range c.Points {
+			c.Points[j].Misses = 50
+		}
+		res.Curves = append(res.Curves, c)
+	}
+	return encodeMRC(res)
+}
+
 func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -231,8 +250,9 @@ func TestMissJoinsRunningBatch(t *testing.T) {
 }
 
 // TestQueueOverflowRejects drives the worker pool to saturation with a
-// stubbed slow executor and checks that an over-capacity request is
-// rejected with 429 instead of queuing unboundedly.
+// stubbed slow executor and checks that an over-capacity request, a
+// measure or an MRC miss, is rejected with 429 instead of queuing
+// unboundedly.
 func TestQueueOverflowRejects(t *testing.T) {
 	sv, ts := newTestService(t, Options{
 		Workers: 1, QueueDepth: 1,
@@ -279,6 +299,10 @@ func TestQueueOverflowRejects(t *testing.T) {
 	if got := <-stC; got != http.StatusTooManyRequests {
 		t.Errorf("overflow request: status %d, want 429", got)
 	}
+	// An MRC miss needs a batch of its own, so it bounces too.
+	if resp, data := postJSON(t, ts.URL+"/v1/mrc", `{"workload":"imgdct"}`); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("overflow MRC request: status %d, want 429: %s", resp.StatusCode, data)
+	}
 	if st := sv.ServerStats(); st.Rejected == 0 {
 		t.Error("rejected counter did not move")
 	}
@@ -292,39 +316,49 @@ func TestQueueOverflowRejects(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain verifies the SIGTERM path: a request in flight when
-// Shutdown begins still completes with 200, while new requests are
-// turned away with 503.
+// TestGracefulDrain verifies the SIGTERM path: a measure replay and an
+// MRC pass in flight when Shutdown begins both still complete with
+// 200, Shutdown returns only after the last of them, and new requests
+// are turned away with 503.
 func TestGracefulDrain(t *testing.T) {
-	sv := New(Options{Workers: 1})
+	sv := New(Options{Workers: 2})
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	release, releaseMRC := make(chan struct{}), make(chan struct{})
 	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
 		started <- struct{}{}
+		gate := release
+		if b.mrc != nil {
+			gate = releaseMRC
+		}
 		select {
-		case <-release:
+		case <-gate:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return make([]fvcache.MeasureResult, len(b.configs)), nil
+		return stubResults(b), nil
 	}
 
-	inflight := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/measure", "application/json",
-			strings.NewReader(`{"workload":"goboard"}`))
-		if err != nil {
-			t.Error(err)
-			inflight <- 0
-			return
-		}
-		resp.Body.Close()
-		inflight <- resp.StatusCode
-	}()
-	<-started // the request is executing
+	post := func(path string) <-chan int {
+		status := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+path, "application/json",
+				strings.NewReader(`{"workload":"goboard"}`))
+			if err != nil {
+				t.Error(err)
+				status <- 0
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		return status
+	}
+	inflight, inflightMRC := post("/v1/measure"), post("/v1/mrc")
+	<-started // both requests are executing
+	<-started
 
 	drainDone := make(chan error, 1)
 	go func() {
@@ -372,9 +406,20 @@ func TestGracefulDrain(t *testing.T) {
 		t.Errorf("readyz during drain: status %d, want 503", rresp.StatusCode)
 	}
 
-	close(release) // let the in-flight batch finish
+	close(release) // let the in-flight replay finish
 	if got := <-inflight; got != http.StatusOK {
 		t.Errorf("in-flight request during drain: status %d, want 200", got)
+	}
+	// The MRC pass is still running, so the drain must still wait.
+	select {
+	case err := <-drainDone:
+		t.Errorf("Shutdown returned (%v) while an MRC pass was still running", err)
+		drainDone <- nil
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(releaseMRC)
+	if got := <-inflightMRC; got != http.StatusOK {
+		t.Errorf("in-flight MRC request during drain: status %d, want 200", got)
 	}
 	if err := <-drainDone; err != nil {
 		t.Errorf("shutdown: %v", err)

@@ -1,6 +1,7 @@
 // Package serve is the fvcached simulation service: an HTTP/JSON front
-// end that accepts measurement and sweep requests from many concurrent
-// clients and coalesces them into the fused batch replay engine.
+// end that accepts measurement, miss-rate-curve and sweep requests
+// from many concurrent clients and coalesces their cache misses into
+// batches: fused replays for /v1/measure, analysis passes for /v1/mrc.
 //
 // Each request first probes the durable result cache in its own
 // handler: configurations the cache answers never wait, and a request
@@ -13,11 +14,12 @@
 // results. The first miss of a key opens a batch and queues it at
 // once; later misses join it while it waits for a worker, and
 // identical misses still join it while it replays, up to the moment
-// its results fan out. A bounded worker pool executes
-// batches; when the batch queue is full, the request that would open a
-// batch is rejected with 429 (backpressure) instead of piling up.
-// Shutdown drains: queued and in-flight batches complete, and only
-// then do the workers exit.
+// its results fan out. A /v1/mrc miss takes the same path: identical
+// misses share one MRC batch, which runs one sharded analysis pass. A
+// bounded worker pool executes batches of both kinds; when the batch
+// queue is full, the request that would open a batch is rejected with
+// 429 (backpressure) instead of piling up. Shutdown drains: queued and
+// in-flight batches complete, and only then do the workers exit.
 //
 // The serving path is fault-hardened (see DESIGN.md, "Durability &
 // degradation model"):
@@ -42,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -163,13 +166,18 @@ type callResult struct {
 // batch is one coalescing unit: the cache misses of every request
 // sharing (workload, scale, options) that joined it between its
 // opening and the end of its replay, with their configurations
-// deduplicated by fingerprint.
+// deduplicated by fingerprint, or every miss of one normalized MRC
+// request.
 type batch struct {
 	key      string
 	workload string
 	scale    fvcache.Scale
 	opts     fvcache.Options
 	optsFP   string // canonical options JSON, part of the cache key
+	// mrc, when set, makes this an MRC batch: one analysis pass over
+	// the normalized request instead of a fused replay. Its configs stay
+	// empty, so only requests for the same curves share it.
+	mrc *fvcache.MRCRequest
 	// id is the batch's trace ID, echoed to every coalesced member so
 	// clients can correlate requests fused into one execution.
 	id string
@@ -244,10 +252,6 @@ type Server struct {
 	// rec is the per-request flight recorder behind /debug/requests.
 	rec *reqtrace.Recorder
 
-	// mrcState holds the /v1/mrc singleflight table and exec hook
-	// (see mrc.go).
-	mrcState
-
 	// fleetState holds the consistent-hash ring, per-peer forwarding
 	// clients and ownership counters (see fleet.go). Zero when the
 	// server runs single-node.
@@ -257,8 +261,8 @@ type Server struct {
 	// failures. Defaults to fvcache.Sweep.
 	execSweep func(ctx context.Context, req fvcache.SweepRequest) (*fvcache.SweepResult, error)
 
-	// exec runs one batch's measurements; tests stub it to control
-	// worker timing. Defaults to execBatch.
+	// exec runs one batch, a fused replay or an MRC pass; tests stub it
+	// to control worker timing. Defaults to execBatch.
 	exec func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error)
 
 	// Server-local counters, so tests can assert on this instance
@@ -288,8 +292,6 @@ func New(opt Options) *Server {
 		s.cache.Store(opt.ResultCache)
 	}
 	s.exec = s.execBatch
-	s.mrcFlights = make(map[string]*mrcFlight)
-	s.execMRC = s.execMRCPass
 	s.execSweep = func(ctx context.Context, req fvcache.SweepRequest) (*fvcache.SweepResult, error) {
 		return fvcache.Sweep(ctx, req)
 	}
@@ -332,7 +334,8 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // counters (test observability; the process-wide metrics are on
 // /debug/metrics).
 type Stats struct {
-	// Batches is how many fused batch executions ran.
+	// Batches is how many batch executions (fused replays and MRC
+	// passes) ran.
 	Batches uint64
 	// Coalesced is how many requests joined an already-open batch.
 	Coalesced uint64
@@ -378,14 +381,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// submit coalesces a parsed request into its key's open batch (or
-// opens one) and returns the caller's seat. optsFP is the canonical
-// options JSON (precomputed by the handler, which also uses it for
-// fleet ownership). deadline is the request's absolute deadline (zero
-// = none); the batch runs until its latest member deadline so one
-// impatient client cannot cancel its seat-mates.
-func (s *Server) submit(workload string, scale fvcache.Scale, opts fvcache.Options, optsFP string, cfgs []ConfigWire, deadline time.Time) (*call, error) {
-	key := fmt.Sprintf("%s|%s|%s", workload, scale, optsFP)
+// submit seats a request's missing configs cfgs in the open batch
+// under nb.key, or opens nb itself and queues it when that batch
+// cannot admit them, and returns the caller's seat. nb carries the
+// key and the execution fields (workload, scale, options or MRC
+// request). deadline is the request's absolute deadline (zero = none);
+// the batch runs until its latest member deadline so one impatient
+// client cannot cancel its seat-mates.
+func (s *Server) submit(nb *batch, cfgs []ConfigWire, deadline time.Time) (*call, error) {
 	fps := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		fps[i] = cfg.Fingerprint()
@@ -399,15 +402,13 @@ func (s *Server) submit(workload string, scale fvcache.Scale, opts fvcache.Optio
 	if s.qClosed {
 		return nil, errDraining
 	}
-	b := s.pending[key]
+	b := s.pending[nb.key]
 	if b != nil && b.admits(fps, deadline) {
 		s.nCoalesced.Add(1)
 		coalescedTotal.Inc()
 	} else {
-		b = &batch{
-			key: key, workload: workload, scale: scale, opts: opts, optsFP: optsFP,
-			fps: make(map[string]int), id: s.rec.Mint(), created: time.Now(),
-		}
+		b = nb
+		b.fps, b.id, b.created = make(map[string]int), s.rec.Mint(), time.Now()
 		select {
 		case s.queue <- b:
 		default:
@@ -416,7 +417,7 @@ func (s *Server) submit(workload string, scale fvcache.Scale, opts fvcache.Optio
 			return nil, errOverloaded
 		}
 		queueDepth.Set(float64(len(s.queue)))
-		s.pending[key] = b
+		s.pending[b.key] = b
 	}
 	c := &call{idx: make([]int, len(cfgs)), done: make(chan callResult, 1)}
 	for j, fp := range fps {
@@ -468,10 +469,10 @@ func execStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// runBatch materializes the batch's configurations (resolving
-// profile-derived FVTs from the shared profile cache), drives one
-// fused replay for all of them, and fans the per-config results back
-// to every coalesced request.
+// runBatch executes one batch through the exec hook under the batch
+// deadline, records the batch trace and stage timings, reports the
+// outcome to the breaker, and fans the results back to every coalesced
+// request.
 func (s *Server) runBatch(b *batch) {
 	// Freeze the batch: from here on only requests it already covers
 	// may join, so configs and the deadline are safe to read unlocked.
@@ -480,7 +481,9 @@ func (s *Server) runBatch(b *batch) {
 	s.mu.Unlock()
 	s.nBatches.Add(1)
 	batchesTotal.Inc()
-	batchConfigs.Observe(uint64(len(b.configs)))
+	if b.mrc == nil {
+		batchConfigs.Observe(uint64(len(b.configs)))
+	}
 	span := obs.Begin("serve:batch:" + b.workload)
 	defer span.Done()
 	b.execStart = time.Now()
@@ -545,22 +548,41 @@ func (s *Server) runBatch(b *batch) {
 	bt.SetOutcome(http.StatusOK, "executed")
 	s.rec.Finish(bt)
 	for _, c := range b.subs {
-		rs := make([]fvcache.MeasureResult, len(c.idx))
-		for j, i := range c.idx {
-			rs[j] = results[i]
+		// An MRC batch hands every member the whole framed curve set.
+		rs := results
+		if b.mrc == nil {
+			rs = make([]fvcache.MeasureResult, len(c.idx))
+			for j, i := range c.idx {
+				rs[j] = results[i]
+			}
 		}
 		c.done <- callResult{results: rs, info: info, b: b}
 	}
 	obs.Log.Debug("batch served", "workload", b.workload, "requests", len(b.subs), "configs", len(b.configs))
 }
 
-// execBatch materializes the batch's configurations (resolving
-// profile-derived FVTs from the shared profile cache), drives one fused
-// replay for all of them, and offers the fresh results to the durable
+// execBatch runs one batch and offers the fresh results to the durable
 // cache, whose admission policy decides what becomes durable. The
-// handlers already answered every config the cache held, so a config
-// only lands here on a miss.
+// handlers already answered everything the cache held, so work only
+// lands here on a miss. An MRC batch is one sharded analysis pass,
+// returned in the cache's entry framing (encodeMRC). A measure batch
+// materializes its configurations (resolving profile-derived FVTs from
+// the shared profile cache) and drives one fused replay for all of
+// them.
 func (s *Server) execBatch(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
+	if b.mrc != nil {
+		req := *b.mrc
+		req.Shards = s.opt.Workers
+		res, err := fvcache.MissRateCurves(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		rs := encodeMRC(res)
+		if cache := s.cache.Load(); cache != nil {
+			cache.Put(mrcCacheKey(*b.mrc), rs)
+		}
+		return rs, nil
+	}
 	tr := reqtrace.FromContext(ctx)
 	cfgs := make([]fvcache.Config, len(b.configs))
 	for i, cw := range b.configs {
@@ -715,7 +737,13 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// Fleet ownership: a request whose configs all hash to one peer is
 	// proxied there, so each config is computed and cached on exactly
 	// one node. Forwarded requests (guard header) always run locally.
-	if owner := s.fleetOwner(r, req.Workload, scale, optsFP, cfgs); owner != nil {
+	var ring []string
+	if s.fleet != nil {
+		for _, cfg := range cfgs {
+			ring = append(ring, ownershipKey(req.Workload, scale, cfg.Fingerprint(), optsFP))
+		}
+	}
+	if owner := s.fleetOwner(r, ring); owner != nil {
 		if s.forwardMeasure(t, w, req, deadline, owner) {
 			return
 		}
@@ -739,24 +767,52 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Keys whose executor keeps failing are shed here, before their
-	// misses can occupy a batch seat; hits above and healthy keys are
-	// unaffected.
-	brkKey := req.Workload + "|" + scale.String()
+	misses := make([]ConfigWire, len(p.missing))
+	for j, i := range p.missing {
+		misses[j] = cfgs[i]
+	}
+	res, ok := s.await(t, &batch{
+		key:      req.Workload + "|" + scale.String() + "|" + optsFP,
+		workload: req.Workload, scale: scale, opts: req.Options, optsFP: optsFP,
+	}, misses, deadline)
+	if !ok {
+		return
+	}
+	// Splice the executed misses back between the cached hits, in
+	// request order.
+	for j, i := range p.missing {
+		p.results[i] = res.results[j]
+	}
+	info := res.info
+	info.CacheHits, info.CacheDiskHits = p.hits, p.diskHits
+	s.writeMeasure(t, w, req.Workload, scale, p.results, info, execClass(info.Coalesced))
+}
+
+// execClass is the latency-series class of an executed response.
+func execClass(coalesced bool) string {
+	if coalesced {
+		return "coalesced"
+	}
+	return "executed"
+}
+
+// await submits a request's cache misses (see submit) and waits for
+// its batch under the batch_wait span, or for the request's own
+// deadline or disconnect. Keys whose executor keeps failing are shed
+// first, before their misses can occupy a batch seat; hits, answered
+// by the handlers, and healthy keys are unaffected. On any failure
+// await has already written the error response and returns false.
+func (s *Server) await(t *reqTrack, nb *batch, cfgs []ConfigWire, deadline time.Time) (callResult, bool) {
+	brkKey := nb.workload + "|" + nb.scale.String()
 	if ok, retryAfter := s.brk.allow(brkKey); !ok {
 		breakerOpenTotal.Inc()
 		t.failFull(http.StatusServiceUnavailable,
 			fmt.Errorf("circuit breaker open for %s after repeated failures", brkKey),
 			true, "breaker_open", retryAfter)
-		return
-	}
-
-	misses := make([]ConfigWire, len(p.missing))
-	for j, i := range p.missing {
-		misses[j] = cfgs[i]
+		return callResult{}, false
 	}
 	wait := t.tr.Begin("batch_wait", -1)
-	c, err := s.submit(req.Workload, scale, req.Options, optsFP, misses, deadline)
+	c, err := s.submit(nb, cfgs, deadline)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
@@ -766,7 +822,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusTooManyRequests
 		}
 		t.fail(status, err)
-		return
+		return callResult{}, false
 	}
 	var deadlineCh <-chan time.Time
 	if !deadline.IsZero() {
@@ -778,27 +834,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	case res := <-c.done:
 		t.attachBatchSpans(wait, res.b)
 		t.tr.End(wait)
-		if res.err != nil {
-			if res.status == http.StatusGatewayTimeout {
-				deadlineExceeded.Inc()
-				t.failFull(res.status, res.err, true, "deadline_exceeded", time.Second)
-				return
-			}
+		if res.err == nil {
+			return res, true
+		}
+		if res.status == http.StatusGatewayTimeout {
+			deadlineExceeded.Inc()
+			t.failFull(res.status, res.err, true, "deadline_exceeded", time.Second)
+		} else {
 			t.fail(res.status, res.err)
-			return
 		}
-		// Splice the executed misses back between the cached hits, in
-		// request order.
-		for j, i := range p.missing {
-			p.results[i] = res.results[j]
-		}
-		info := res.info
-		info.CacheHits, info.CacheDiskHits = p.hits, p.diskHits
-		class := "executed"
-		if info.Coalesced {
-			class = "coalesced"
-		}
-		s.writeMeasure(t, w, req.Workload, scale, p.results, info, class)
 	case <-deadlineCh:
 		// This request's own deadline fired first. The batch keeps
 		// running for its seat-mates (its context outlives us); the
@@ -806,13 +850,14 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		t.tr.End(wait)
 		deadlineExceeded.Inc()
 		t.failFull(http.StatusGatewayTimeout,
-			fmt.Errorf("deadline of %s exceeded", time.Since(start).Round(time.Millisecond)),
+			fmt.Errorf("deadline of %s exceeded", time.Since(t.start).Round(time.Millisecond)),
 			true, "deadline_exceeded", time.Second)
-	case <-r.Context().Done():
+	case <-t.req.Context().Done():
 		// Client went away; the worker's buffered send still completes.
 		t.tr.End(wait)
-		t.fail(http.StatusServiceUnavailable, r.Context().Err())
+		t.fail(http.StatusServiceUnavailable, t.req.Context().Err())
 	}
+	return callResult{}, false
 }
 
 // writeMeasure encodes a successful /v1/measure response and seals the
@@ -848,8 +893,11 @@ func requestDeadline(r *http.Request, bodyMS int64, start time.Time, def time.Du
 		}
 		ms = v
 	}
-	if ms < 0 {
-		return time.Time{}, fmt.Errorf("deadline_ms must be >= 0, got %d", ms)
+	// Past maxMS the conversion to a Duration wraps, which would turn a
+	// far deadline into an expired one.
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	if ms < 0 || ms > maxMS {
+		return time.Time{}, fmt.Errorf("deadline_ms must be in [0, %d], got %d", maxMS, ms)
 	}
 	if ms > 0 {
 		return start.Add(time.Duration(ms) * time.Millisecond), nil
@@ -1008,16 +1056,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeError renders err with the status's default retry semantics:
+// writeErrorID renders err with the status's default retry semantics:
 // 429/503/504 are retryable (each with a Retry-After), everything else
 // is the request's or the server's fault and retrying verbatim cannot
-// help.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeErrorID(w, status, err, "")
-}
-
-// writeErrorID is writeError with the request's trace ID attached to
-// the body, so a client can quote the ID against /debug/requests.
+// help. The request's trace ID rides in the body, so a client can
+// quote it against /debug/requests.
 func writeErrorID(w http.ResponseWriter, status int, err error, traceID string) {
 	var retryAfter time.Duration
 	var reason string
@@ -1041,12 +1084,8 @@ func writeErrorID(w http.ResponseWriter, status int, err error, traceID string) 
 	writeErrorFullID(w, status, err, retryable, reason, retryAfter, traceID)
 }
 
-// writeErrorFull is the explicit form: callers that know the cause
+// writeErrorFullID is the explicit form: callers that know the cause
 // (breaker, deadline) pass their own reason and Retry-After.
-func writeErrorFull(w http.ResponseWriter, status int, err error, retryable bool, reason string, retryAfter time.Duration) {
-	writeErrorFullID(w, status, err, retryable, reason, retryAfter, "")
-}
-
 func writeErrorFullID(w http.ResponseWriter, status int, err error, retryable bool, reason string, retryAfter time.Duration, traceID string) {
 	if retryAfter > 0 {
 		secs := int64((retryAfter + time.Second - 1) / time.Second)

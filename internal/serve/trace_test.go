@@ -295,7 +295,11 @@ func TestDebugRequestsFiltersHTTP(t *testing.T) {
 	}
 }
 
-// TestMRCSummaryCarriesTraceID checks the /v1/mrc summary stanza.
+// TestMRCSummaryCarriesTraceID checks the /v1/mrc summary stanza: an
+// executed summary's trace_id resolves at /debug/requests to the MRC
+// batch's own trace, with its queue wait and pass, and the request's
+// trace holds the same batch_wait{queue_wait, replay} shape as a
+// measure miss.
 func TestMRCSummaryCarriesTraceID(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
@@ -314,10 +318,34 @@ func TestMRCSummaryCarriesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	if summary.Summary.TraceID == "" {
-		t.Error("mrc summary carries no trace_id")
+		t.Fatal("mrc summary carries no trace_id")
 	}
-	if resp.Header.Get("X-Request-Id") == "" {
-		t.Error("mrc response carries no X-Request-Id")
+	reqID := resp.Header.Get("X-Request-Id")
+	if reqID == "" {
+		t.Fatal("mrc response carries no X-Request-Id")
+	}
+	var batchTrace *obs.RequestTrace
+	traces := debugRequests(t, ts.URL, "")
+	for i := range traces {
+		if traces[i].ID == summary.Summary.TraceID {
+			batchTrace = &traces[i]
+		}
+	}
+	if batchTrace == nil {
+		t.Fatalf("summary trace_id %s not in /debug/requests", summary.Summary.TraceID)
+	}
+	if batchTrace.Endpoint != "batch" || batchTrace.Status != http.StatusOK || batchTrace.Workload != "goboard" {
+		t.Errorf("batch trace fields: %+v", batchTrace)
+	}
+	var bNames []string
+	for _, sp := range batchTrace.Spans {
+		bNames = append(bNames, sp.Name)
+	}
+	if got := strings.Join(bNames, ","); got != "queue_wait,replay" {
+		t.Errorf("batch trace spans %s, want queue_wait,replay", got)
+	}
+	if got, want := strings.Join(spanNames(t, ts.URL, reqID), ","), "batch_wait,encode,parse,queue_wait,replay"; got != want {
+		t.Errorf("request trace spans %s, want %s", got, want)
 	}
 }
 
