@@ -44,7 +44,8 @@ lint-examples:
 # result-cache entry codec, the config fingerprint (the key every
 # cache and coalescing path trusts) and the /v1/measure and /v1/mrc
 # request decoders (no panic, every refusal an error envelope, every
-# 200 well-formed), a single-iteration pass over every
+# 200 well-formed, and no 200 for a body with an unknown top-level
+# field or data after its JSON value), a single-iteration pass over every
 # benchmark so the benchmark corpus cannot rot, and the -verify passes
 # over the committed artifacts: benchsweep checks BENCH_sweep.json
 # (every speedup layer holds its threshold — including the analytic

@@ -13,8 +13,10 @@
 //   - the fleet itself — node-to-node owner forwarding inside
 //     internal/serve speaks exactly these types through the same SDK.
 //
-// internal/serve aliases these types rather than declaring its own, so
-// there is exactly one definition of the wire format in the tree.
+// internal/serve uses these types directly rather than declaring its
+// own, so there is exactly one definition of the wire format in the
+// tree. The server decodes request bodies strictly: a field a request
+// type does not declare is refused, not dropped.
 package api
 
 import (

@@ -6,6 +6,7 @@
 //
 //	POST /v1/measure    measure one or many configurations over a workload
 //	                    (?deadline_ms= bounds the request; expired -> 504)
+//	POST /v1/mrc        analytic miss-rate curves (streams JSON lines)
 //	POST /v1/sweep      reproduce paper artifacts (streams JSON lines)
 //	GET  /v1/workloads  list registered workloads
 //	GET  /v1/artifacts  list reproducible artifacts
@@ -27,13 +28,17 @@
 // requests landing elsewhere are proxied to the owner (one hop max),
 // and an unreachable owner degrades to local execution.
 //
+// POST bodies are decoded strictly: an unknown field, at any depth, or
+// data after the body's JSON value is a 400, so a misspelled key never
+// silently measures a default.
+//
 // Cache misses for the same workload, scale and options that arrive
 // while a batch waits for a worker, or identical misses that arrive
 // while it replays, are fused into that one batch replay; the "batch"
 // stanza of each response reports how a request was executed. When the
 // batch queue is full new batches are rejected with 429. SIGINT or
-// SIGTERM drains gracefully: in-flight requests complete, then the
-// process exits.
+// SIGTERM drains gracefully: in-flight requests, sweeps included,
+// complete, then the process exits.
 //
 // Results are cached in memory, and durably under -cache-dir: repeat
 // measurements are O(1), survive restarts, and every on-disk entry is

@@ -107,7 +107,11 @@ func (t *Trace) SetError(msg string) {
 // Begin opens a span under parent (-1 for a root span) starting now
 // and returns its index for End. Returns -1 when the trace is full or
 // inactive.
-func (t *Trace) Begin(name string, parent int) int {
+func (t *Trace) Begin(name string, parent int) int { return t.BeginAt(name, parent, time.Now()) }
+
+// BeginAt is Begin with the span's start time given, for callers that
+// time the same stage elsewhere from the same clock reading.
+func (t *Trace) BeginAt(name string, parent int, at time.Time) int {
 	if t == nil || t.noop {
 		return -1
 	}
@@ -116,19 +120,22 @@ func (t *Trace) Begin(name string, parent int) int {
 		return -1
 	}
 	i := t.nspans
-	t.spans[i] = span{name: name, parent: int32(parent), startNS: int64(time.Since(t.start)), durNS: -1}
+	t.spans[i] = span{name: name, parent: int32(parent), startNS: int64(at.Sub(t.start)), durNS: -1}
 	t.nspans++
 	return int(i)
 }
 
-// End closes the span opened by Begin.
-func (t *Trace) End(idx int) {
+// End closes the span opened by Begin now.
+func (t *Trace) End(idx int) { t.EndAt(idx, time.Now()) }
+
+// EndAt closes the span opened by Begin at the given time.
+func (t *Trace) EndAt(idx int, at time.Time) {
 	if t == nil || t.noop || idx < 0 || idx >= int(t.nspans) {
 		return
 	}
 	sp := &t.spans[idx]
 	if sp.durNS == -1 {
-		sp.durNS = int64(time.Since(t.start)) - sp.startNS
+		sp.durNS = int64(at.Sub(t.start)) - sp.startNS
 		if sp.durNS < 0 {
 			sp.durNS = 0
 		}

@@ -83,6 +83,15 @@ const entryExt = ".fvr"
 // corruptDir is the quarantine subdirectory under the cache root.
 const corruptDir = "corrupt"
 
+// promoteAfter is how many memory-tier hits a fingerprint needs before
+// its result is written to disk: the Flashield admission rule — one
+// demonstrated reuse is not enough, a second hit is.
+const promoteAfter = 2
+
+// degradeCooldown is how long a degraded disk tier stays offline
+// before the next operation re-probes it.
+const degradeCooldown = 30 * time.Second
+
 // Options configures a Cache.
 type Options struct {
 	// Dir is the disk tier root; "" disables the disk tier (the cache
@@ -93,18 +102,10 @@ type Options struct {
 	// DiskBytes bounds the disk tier (<=0 means 256 MiB). Over-budget
 	// entries are evicted oldest-first.
 	DiskBytes int64
-	// PromoteAfter is how many memory-tier hits a fingerprint needs
-	// before its result is written to disk (<=0 means 2: the Flashield
-	// admission rule — one demonstrated reuse is not enough, a second
-	// hit is).
-	PromoteAfter int
 	// DegradeAfter is how many consecutive disk faults trip the disk
 	// tier into memory-only degraded mode (<=0 means 3). ENOSPC trips
 	// immediately regardless.
 	DegradeAfter int
-	// DegradeCooldown is how long a degraded disk tier stays offline
-	// before the next operation re-probes it (<=0 means 30s).
-	DegradeCooldown time.Duration
 	// SlowOp classifies a disk read or write slower than this as a
 	// fault (0 disables slow-I/O detection).
 	SlowOp time.Duration
@@ -120,14 +121,8 @@ func (o Options) withDefaults() Options {
 	if o.DiskBytes <= 0 {
 		o.DiskBytes = 256 << 20
 	}
-	if o.PromoteAfter <= 0 {
-		o.PromoteAfter = 2
-	}
 	if o.DegradeAfter <= 0 {
 		o.DegradeAfter = 3
-	}
-	if o.DegradeCooldown <= 0 {
-		o.DegradeCooldown = 30 * time.Second
 	}
 	if o.FS == nil {
 		o.FS = OSFS
@@ -342,7 +337,7 @@ func (c *Cache) GetTier(k Key) ([]sim.MeasureResult, Tier) {
 	if e := c.mem[k]; e != nil {
 		c.moveFrontLocked(e)
 		e.hits++
-		promote := !e.onDisk && !e.promoting && e.hits >= c.opt.PromoteAfter && c.opt.Dir != ""
+		promote := !e.onDisk && !e.promoting && e.hits >= promoteAfter && c.opt.Dir != ""
 		if promote {
 			e.promoting = true
 		}
@@ -572,12 +567,12 @@ func (c *Cache) diskFault(err error) {
 		return
 	}
 	c.faults = 0
-	c.degradedUntil = time.Now().Add(c.opt.DegradeCooldown)
+	c.degradedUntil = time.Now().Add(degradeCooldown)
 	if !c.degraded.Swap(true) {
 		c.degradations.Add(1)
 		cacheDegraded.Inc()
 		obs.Log.Warn("resultcache disk tier degraded to memory-only",
-			"err", err.Error(), "cooldown", c.opt.DegradeCooldown.String())
+			"err", err.Error(), "cooldown", degradeCooldown.String())
 	}
 }
 

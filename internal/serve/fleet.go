@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,27 +161,24 @@ func forwardCtx(r *http.Request, deadline time.Time, deadlineMS *int64) (context
 // when the response (success or the owner's own enveloped error) went
 // to the wire; false means the owner was unreachable and the caller
 // should execute locally.
-func (s *Server) forwardMeasure(t *reqTrack, w http.ResponseWriter, req measureWire, deadline time.Time, owner *fleet.Peer) bool {
+func (s *Server) forwardMeasure(t *reqTrack, req api.MeasureRequest, deadline time.Time, owner *fleet.Peer) bool {
 	cli := s.fwd[owner.URL()]
 	if cli == nil {
 		return false
 	}
-	r := t.req
-	ctx, cancel := forwardCtx(r, deadline, &req.DeadlineMS)
+	ctx, cancel := forwardCtx(t.req, deadline, &req.DeadlineMS)
 	defer cancel()
-	span := t.tr.Begin("forward", -1)
-	fwdStart := time.Now()
+	fwd := t.stage("forward", stageForwardUS)
 	resp, err := cli.Measure(ctx, req, client.WithTraceID(t.tr.ID()))
-	t.tr.End(span)
-	observeStage(stageForwardUS, fwdStart, time.Now())
+	fwd.end()
 	if err != nil {
-		return s.relayError(t, w, owner, err)
+		return s.relayError(t, owner, err)
 	}
 	s.fleet.ReportSuccess(owner)
 	s.nForwarded.Add(1)
 	fleetForwardedTotal.Inc()
-	w.Header().Set(api.HeaderForwardedBy, s.fleet.SelfURL())
-	writeJSON(w, http.StatusOK, resp)
+	t.w.Header().Set(api.HeaderForwardedBy, s.fleet.SelfURL())
+	writeJSON(t.w, http.StatusOK, resp)
 	t.finish(http.StatusOK, "forwarded")
 	return true
 }
@@ -192,64 +188,40 @@ func (s *Server) forwardMeasure(t *reqTrack, w http.ResponseWriter, req measureW
 // a failure after lines already streamed is relayed in-band as a
 // terminal error line (the 200 is on the wire — falling back to local
 // execution would splice two streams).
-func (s *Server) forwardMRC(t *reqTrack, w http.ResponseWriter, req mrcWire, deadline time.Time, owner *fleet.Peer) bool {
+func (s *Server) forwardMRC(t *reqTrack, req api.MRCRequest, deadline time.Time, owner *fleet.Peer) bool {
 	cli := s.fwd[owner.URL()]
 	if cli == nil {
 		return false
 	}
-	r := t.req
-	ctx, cancel := forwardCtx(r, deadline, &req.DeadlineMS)
+	ctx, cancel := forwardCtx(t.req, deadline, &req.DeadlineMS)
 	defer cancel()
-	span := t.tr.Begin("forward", -1)
-	fwdStart := time.Now()
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	streamed := false
-	commit := func() {
-		if !streamed {
-			w.Header().Set(api.HeaderForwardedBy, s.fleet.SelfURL())
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			streamed = true
-		}
-	}
+	fwd := t.stage("forward", stageForwardUS)
+	out := t.ndjson(s.fleet.SelfURL())
 	summary, err := cli.MRC(ctx, req, func(p api.MRCPoint) error {
-		commit()
-		enc.Encode(api.MRCLine{Point: &p})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.line(api.MRCLine{Point: &p})
 		return nil
 	}, client.WithTraceID(t.tr.ID()))
-	t.tr.End(span)
-	observeStage(stageForwardUS, fwdStart, time.Now())
-	if err != nil {
-		if !streamed {
-			return s.relayError(t, w, owner, err)
-		}
-		// Mid-stream failure: the envelope travels as a terminal line.
-		var ae *api.Error
-		if errors.As(err, &ae) && ae.Status != 0 {
-			s.fleet.ReportSuccess(owner)
-		} else {
-			s.fleet.ReportFailure(owner)
-			ae = &api.Error{Message: err.Error(), Reason: api.ReasonInternal, TraceID: t.tr.ID()}
-		}
-		s.nForwarded.Add(1)
-		fleetForwardedTotal.Inc()
-		t.tr.SetError(ae.Message)
-		enc.Encode(api.MRCLine{Error: ae})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		t.finish(http.StatusOK, "error")
-		return true
+	fwd.end()
+	if err != nil && !out.started {
+		return s.relayError(t, owner, err)
 	}
-	s.fleet.ReportSuccess(owner)
 	s.nForwarded.Add(1)
 	fleetForwardedTotal.Inc()
-	commit()
-	enc.Encode(api.MRCLine{Summary: summary})
-	t.finish(http.StatusOK, "forwarded")
+	if err == nil {
+		s.fleet.ReportSuccess(owner)
+		out.last(api.MRCLine{Summary: summary})
+		t.finish(http.StatusOK, "forwarded")
+		return true
+	}
+	// Mid-stream failure: the envelope travels as a terminal line.
+	var ae *api.Error
+	if errors.As(err, &ae) && ae.Status != 0 {
+		s.fleet.ReportSuccess(owner)
+	} else {
+		s.fleet.ReportFailure(owner)
+		ae = &api.Error{Message: err.Error(), Reason: api.ReasonInternal, TraceID: t.tr.ID()}
+	}
+	out.fail(ae)
 	return true
 }
 
@@ -258,7 +230,7 @@ func (s *Server) forwardMRC(t *reqTrack, w http.ResponseWriter, req mrcWire, dea
 // (including its 429/503 backpressure) relay verbatim — the owner
 // answered, so it is healthy; transport-level failures mark the peer
 // and send the caller down the local-fallback path.
-func (s *Server) relayError(t *reqTrack, w http.ResponseWriter, owner *fleet.Peer, err error) bool {
+func (s *Server) relayError(t *reqTrack, owner *fleet.Peer, err error) bool {
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Status == 0 {
 		s.fleet.ReportFailure(owner)
@@ -271,14 +243,8 @@ func (s *Server) relayError(t *reqTrack, w http.ResponseWriter, owner *fleet.Pee
 	s.fleet.ReportSuccess(owner)
 	s.nForwarded.Add(1)
 	fleetForwardedTotal.Inc()
-	w.Header().Set(api.HeaderForwardedBy, s.fleet.SelfURL())
-	if ae.RetryAfter > 0 {
-		secs := int64((ae.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	t.tr.SetError(ae.Message)
-	writeJSON(w, ae.Status, ae)
-	t.finish(ae.Status, "forwarded")
+	t.w.Header().Set(api.HeaderForwardedBy, s.fleet.SelfURL())
+	t.reply(ae.Status, ae)
 	return true
 }
 

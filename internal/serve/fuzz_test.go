@@ -1,6 +1,7 @@
 // Fuzz tests for the /v1/measure and /v1/mrc request decoders: any
 // body and query string must get a well-formed answer from Handler(),
-// never a panic. The exec hook is stubbed to answer at once, so the
+// never a panic, and a body with a top-level key its request type does
+// not declare, or with bytes after its JSON value, never gets a 200. The exec hook is stubbed to answer at once, so the
 // fuzzers exercise parsing, validation, keying, coalescing and
 // encoding, not the engines.
 package serve
@@ -10,10 +11,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,7 +58,7 @@ func serveFuzz(sv *Server, path string, body []byte, query string) *httptest.Res
 // stubbed executor answers at once).
 func checkRefusal(t *testing.T, rec *httptest.ResponseRecorder, body []byte, query string) {
 	t.Helper()
-	var e errorWire
+	var e api.Error
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Message == "" || e.Reason == "" || obs.Enabled && e.TraceID == "" {
 		t.Fatalf("status %d: malformed error envelope %q", rec.Code, rec.Body.Bytes())
 	}
@@ -78,6 +82,37 @@ func askedDeadlineMS(body []byte, query string) int64 {
 		req.DeadlineMS, _ = strconv.ParseInt(v, 10, 64)
 	}
 	return req.DeadlineMS
+}
+
+// strictViolation names what a strict decoder must refuse in body: a
+// top-level key that req's type does not declare (matched as
+// encoding/json matches keys, case-folded), or non-space bytes after
+// the first JSON value. It returns "" when neither applies, including
+// for bodies that are not a JSON object at all.
+func strictViolation(body []byte, req any) string {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var top map[string]json.RawMessage
+	if err := dec.Decode(&top); err != nil {
+		return ""
+	}
+	if rest := bytes.Trim(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Sprintf("trailing data %q", rest)
+	}
+	rt := reflect.TypeOf(req)
+	for key := range top {
+		declared := false
+		for i := 0; i < rt.NumField(); i++ {
+			name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+			if name == "" {
+				name = rt.Field(i).Name
+			}
+			declared = declared || name != "-" && strings.EqualFold(name, key)
+		}
+		if !declared {
+			return fmt.Sprintf("unknown field %q", key)
+		}
+	}
+	return ""
 }
 
 // fuzzSeeds adds every body under each query.
@@ -109,7 +144,10 @@ func FuzzMeasureRequest(f *testing.F) {
 			checkRefusal(t, rec, body, query)
 			return
 		}
-		var out measureRespWire
+		if why := strictViolation(body, api.MeasureRequest{}); why != "" {
+			t.Fatalf("200 for a body with %s: %q", why, body)
+		}
+		var out api.MeasureResponse
 		dec := json.NewDecoder(rec.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&out); err != nil {
@@ -139,6 +177,9 @@ func FuzzMRCRequest(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			checkRefusal(t, rec, body, query)
 			return
+		}
+		if why := strictViolation(body, api.MRCRequest{}); why != "" {
+			t.Fatalf("200 for a body with %s: %q", why, body)
 		}
 		sc := bufio.NewScanner(rec.Body)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)

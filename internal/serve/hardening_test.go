@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fvcache"
+	"fvcache/api"
 	"fvcache/internal/faultinject"
 	"fvcache/internal/resultcache"
 )
@@ -41,7 +42,7 @@ func TestDeadlineExceeded(t *testing.T) {
 			if resp.StatusCode != http.StatusGatewayTimeout {
 				t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
 			}
-			var e errorWire
+			var e api.Error
 			if err := json.Unmarshal(data, &e); err != nil || !e.Retryable || e.Reason != "deadline_exceeded" {
 				t.Errorf("504 body not retryable/deadline_exceeded: %s", data)
 			}
@@ -108,7 +109,7 @@ func TestBreakerShedsFailingKey(t *testing.T) {
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("panicking exec %d: status %d, want 500: %s", i, resp.StatusCode, data)
 		}
-		var e errorWire
+		var e api.Error
 		if err := json.Unmarshal(data, &e); err != nil || e.Retryable {
 			t.Errorf("panic 500 marked retryable: %s", data)
 		}
@@ -122,7 +123,7 @@ func TestBreakerShedsFailingKey(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("open breaker response carries no Retry-After")
 	}
-	var e errorWire
+	var e api.Error
 	if err := json.Unmarshal(data, &e); err != nil || !e.Retryable || e.Reason != "breaker_open" {
 		t.Errorf("breaker body not retryable/breaker_open: %s", data)
 	}
@@ -221,7 +222,7 @@ func TestWarmRepeatBitIdentical(t *testing.T) {
 	// serialized numbers, not a float round trip.
 	type rawResp struct {
 		Results json.RawMessage `json:"results"`
-		Batch   batchInfoWire   `json:"batch"`
+		Batch   api.BatchInfo   `json:"batch"`
 	}
 	for _, wl := range wls {
 		body := fmt.Sprintf(`{"workload":%q,"config":{"fvc_entries":64}}`, wl.Name)

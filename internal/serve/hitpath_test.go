@@ -82,7 +82,7 @@ func spanNames(t *testing.T, base, id string) []string {
 // the serialized numbers rather than a float round trip.
 type rawMeasure struct {
 	Results json.RawMessage `json:"results"`
-	Batch   batchInfoWire   `json:"batch"`
+	Batch   api.BatchInfo   `json:"batch"`
 }
 
 func decodeRaw(t *testing.T, label string, resp *http.Response, data []byte) rawMeasure {

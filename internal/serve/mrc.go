@@ -20,12 +20,9 @@ package serve
 // cache key, so a warm hit reconstructs the response bit for bit.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
 
 	"fvcache"
 	"fvcache/api"
@@ -36,17 +33,6 @@ import (
 var (
 	mrcRequests  = obs.Default.Counter("serve_mrc_requests_total")
 	mrcCacheHits = obs.Default.Counter("serve_mrc_cache_hits_total")
-)
-
-// The MRC wire types live in the public fvcache/api package; these
-// aliases keep the handler's vocabulary.
-type (
-	// mrcWire is the POST /v1/mrc request body.
-	mrcWire = api.MRCRequest
-	// mrcPointWire is one streamed curve point.
-	mrcPointWire = api.MRCPoint
-	// mrcSummaryWire is the trailing NDJSON line.
-	mrcSummaryWire = api.MRCSummary
 )
 
 // mrcCacheKey derives the durable-cache key from a normalized request.
@@ -124,26 +110,9 @@ func decodeMRC(rs []fvcache.MeasureResult, req fvcache.MRCRequest) (*fvcache.MRC
 
 // handleMRC serves POST /v1/mrc.
 func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.track("mrc", w, r).fail(http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	reqTotal.Inc()
-	mrcRequests.Inc()
-	inflightReqs.Set(inflightDelta(1))
-	defer inflightReqs.Set(inflightDelta(-1))
-
-	t := s.track("mrc", w, r)
-	start := t.start
-	parse := t.tr.Begin("parse", -1)
-
-	if s.draining.Load() {
-		t.fail(http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	var req mrcWire
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		t.fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	var req api.MRCRequest
+	t, parse := s.open("mrc", w, r, &req)
+	if t == nil {
 		return
 	}
 	t.tr.SetWorkload(req.Workload)
@@ -167,20 +136,19 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 		t.fail(http.StatusBadRequest, err)
 		return
 	}
-	deadline, err := requestDeadline(r, req.DeadlineMS, start, s.opt.DefaultDeadline)
+	deadline, err := requestDeadline(r, req.DeadlineMS, t.start, s.opt.DefaultDeadline)
 	if err != nil {
 		t.fail(http.StatusBadRequest, err)
 		return
 	}
 	ck := mrcCacheKey(mreq)
-	t.tr.End(parse)
-	observeStage(stageParseUS, start, time.Now())
+	parse.end()
 
 	// Fleet ownership: the MRC key (workload, scale, geometry) hashes
 	// to one owner whose batches and durable cache serve it for the
 	// whole fleet. Forwarded requests (guard header) run locally.
 	if owner := s.fleetOwner(r, []string{ownershipKey(mreq.Workload, scale, ck.ConfigFP, "")}); owner != nil {
-		if s.forwardMRC(t, w, req, deadline, owner) {
+		if s.forwardMRC(t, req, deadline, owner) {
 			return
 		}
 		// Owner unreachable: fall through to the local path.
@@ -190,7 +158,7 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 	// pending table: a hit opens no batch.
 	if res := s.probeMRC(t, ck, mreq); res != nil {
 		mrcCacheHits.Inc()
-		s.writeMRC(t, w, mreq, res, mrcSummaryWire{Requests: 1, CacheHit: true, TraceID: t.tr.ID()}, "hit")
+		s.writeMRC(t, mreq, res, api.MRCSummary{Requests: 1, CacheHit: true, TraceID: t.tr.ID()}, "hit")
 		return
 	}
 
@@ -206,7 +174,7 @@ func (s *Server) handleMRC(w http.ResponseWriter, r *http.Request) {
 		t.fail(http.StatusInternalServerError, errors.New("analysis result does not match the request's curve shape"))
 		return
 	}
-	s.writeMRC(t, w, mreq, curves, mrcSummaryWire{
+	s.writeMRC(t, mreq, curves, api.MRCSummary{
 		Requests: res.info.Requests, Coalesced: res.info.Coalesced, TraceID: res.info.TraceID,
 	}, execClass(res.info.Coalesced))
 }
@@ -218,12 +186,7 @@ func (s *Server) probeMRC(t *reqTrack, ck resultcache.Key, req fvcache.MRCReques
 	if cache == nil {
 		return nil
 	}
-	start := time.Now()
-	span := t.tr.Begin("cache_probe", -1)
-	defer func() {
-		t.tr.End(span)
-		observeStage(stageCacheUS, start, time.Now())
-	}()
+	defer t.stage("cache_probe", stageCacheUS).end()
 	rs, ok := cache.Get(ck)
 	if !ok {
 		return nil
@@ -238,21 +201,14 @@ func (s *Server) probeMRC(t *reqTrack, ck resultcache.Key, req fvcache.MRCReques
 // writeMRC streams a curve set — one NDJSON line per point, then the
 // summary, whose execution fields (requests, coalesced, cache_hit,
 // trace_id) the caller fills in — and seals the trace under class.
-func (s *Server) writeMRC(t *reqTrack, w http.ResponseWriter, req fvcache.MRCRequest, res *fvcache.MRCResult, sum mrcSummaryWire, class string) {
-	encodeStart := time.Now()
-	encode := t.tr.Begin("encode", -1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+func (s *Server) writeMRC(t *reqTrack, req fvcache.MRCRequest, res *fvcache.MRCResult, sum api.MRCSummary, class string) {
+	encode := t.stage("encode", stageEncodeUS)
+	out := t.ndjson("")
 	points := 0
 	for _, c := range res.Curves {
 		for _, p := range c.Points {
-			pw := mrcPointWire{Sets: c.Sets, SizeBytes: p.SizeBytes, Assoc: p.Assoc, Misses: p.Misses, MissRatio: p.MissRatio}
-			enc.Encode(api.MRCLine{Point: &pw})
+			out.line(api.MRCLine{Point: &api.MRCPoint{Sets: c.Sets, SizeBytes: p.SizeBytes, Assoc: p.Assoc, Misses: p.Misses, MissRatio: p.MissRatio}})
 			points++
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
 	}
 	sum.Workload = req.Workload
@@ -265,8 +221,7 @@ func (s *Server) writeMRC(t *reqTrack, w http.ResponseWriter, req fvcache.MRCReq
 	sum.Curves = len(res.Curves)
 	sum.Points = points
 	sum.Node = s.nodeURL()
-	enc.Encode(api.MRCLine{Summary: &sum})
-	t.tr.End(encode)
-	observeStage(stageEncodeUS, encodeStart, time.Now())
+	out.last(api.MRCLine{Summary: &sum})
+	encode.end()
 	t.finish(http.StatusOK, class)
 }

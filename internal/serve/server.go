@@ -19,7 +19,8 @@
 // bounded worker pool executes batches of both kinds; when the batch
 // queue is full, the request that would open a batch is rejected with
 // 429 (backpressure) instead of piling up. Shutdown drains: queued and
-// in-flight batches complete, and only then do the workers exit.
+// in-flight batches and running sweeps complete, and only then do the
+// workers exit.
 //
 // The serving path is fault-hardened (see DESIGN.md, "Durability &
 // degradation model"):
@@ -155,7 +156,7 @@ type call struct {
 
 type callResult struct {
 	results []fvcache.MeasureResult
-	info    batchInfoWire
+	info    api.BatchInfo
 	// b is the executed batch, carried back so the request handler can
 	// attach the batch's stage timeline to its own trace.
 	b      *batch
@@ -182,7 +183,7 @@ type batch struct {
 	// clients can correlate requests fused into one execution.
 	id string
 
-	configs []ConfigWire
+	configs []api.Config
 	fps     map[string]int
 	subs    []*call
 	// running is set under Server.mu when a worker takes the batch off
@@ -239,7 +240,9 @@ type Server struct {
 	pending map[string]*batch
 	qClosed bool
 
-	queue    chan *batch
+	queue chan *batch
+	// wg counts the workers and the running sweeps: Shutdown waits for
+	// both.
 	wg       sync.WaitGroup
 	baseCtx  context.Context
 	stop     context.CancelFunc
@@ -353,10 +356,11 @@ func (s *Server) ServerStats() Stats {
 }
 
 // Shutdown drains the service: queued and in-flight batches complete
-// (delivering results to their waiting requests), and the workers
-// exit. New requests are rejected with 503 from the first call on. If
-// ctx expires first, in-flight batch replays are cancelled and the
-// drain finishes with ctx's error.
+// (delivering results to their waiting requests), running sweeps
+// finish, and the workers exit. New requests are rejected with 503
+// from the first call on. If ctx expires first, in-flight batch
+// replays and sweeps are cancelled and the drain finishes with ctx's
+// error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -388,7 +392,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // request). deadline is the request's absolute deadline (zero = none);
 // the batch runs until its latest member deadline so one impatient
 // client cannot cancel its seat-mates.
-func (s *Server) submit(nb *batch, cfgs []ConfigWire, deadline time.Time) (*call, error) {
+func (s *Server) submit(nb *batch, cfgs []api.Config, deadline time.Time) (*call, error) {
 	fps := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		fps[i] = cfg.Fingerprint()
@@ -538,7 +542,7 @@ func (s *Server) runBatch(b *batch) {
 		}
 		return
 	}
-	info := batchInfoWire{
+	info := api.BatchInfo{
 		Requests:  len(b.subs),
 		Configs:   len(b.configs),
 		Coalesced: len(b.subs) > 1,
@@ -638,7 +642,7 @@ type cacheProbe struct {
 
 // probeCache looks every config of a request up in the durable result
 // cache. Without a cache every config misses and no span is recorded.
-func (s *Server) probeCache(t *reqTrack, workload string, scale fvcache.Scale, optsFP string, cfgs []ConfigWire) cacheProbe {
+func (s *Server) probeCache(t *reqTrack, workload string, scale fvcache.Scale, optsFP string, cfgs []api.Config) cacheProbe {
 	p := cacheProbe{results: make([]fvcache.MeasureResult, len(cfgs))}
 	cache := s.cache.Load()
 	if cache == nil {
@@ -648,8 +652,7 @@ func (s *Server) probeCache(t *reqTrack, workload string, scale fvcache.Scale, o
 		}
 		return p
 	}
-	start := time.Now()
-	span := t.tr.Begin("cache_probe", -1)
+	probe := t.stage("cache_probe", stageCacheUS)
 	for i, cw := range cfgs {
 		rs, tier := cache.GetTier(measureKey(workload, scale, cw.Fingerprint(), optsFP))
 		if tier == resultcache.TierNone || len(rs) != 1 {
@@ -662,40 +665,19 @@ func (s *Server) probeCache(t *reqTrack, workload string, scale fvcache.Scale, o
 			p.diskHits++
 		}
 	}
-	t.tr.End(span)
-	observeStage(stageCacheUS, start, time.Now())
+	probe.end()
 	return p
 }
 
-// maxBodyBytes bounds request bodies; a measurement request is a few
-// KB even with a long explicit FVT.
-const maxBodyBytes = 1 << 20
-
 // handleMeasure serves POST /v1/measure.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.track("measure", w, r).fail(http.StatusMethodNotAllowed, errors.New("POST required"))
+	var req api.MeasureRequest
+	t, parse := s.open("measure", w, r, &req)
+	if t == nil {
 		return
 	}
-	reqTotal.Inc()
-	inflightReqs.Set(inflightDelta(1))
-	defer inflightReqs.Set(inflightDelta(-1))
 	span := obs.Begin("serve:measure")
 	defer span.Done()
-
-	t := s.track("measure", w, r)
-	start := t.start
-	parse := t.tr.Begin("parse", -1)
-
-	if s.draining.Load() {
-		t.fail(http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	var req measureWire
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		t.fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
 	t.tr.SetWorkload(req.Workload)
 	if _, err := fvcache.LookupWorkload(req.Workload); err != nil {
 		t.fail(http.StatusBadRequest, err)
@@ -708,10 +690,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	cfgs := req.Configs
 	if req.Config != nil {
-		cfgs = append([]ConfigWire{*req.Config}, cfgs...)
+		cfgs = append([]api.Config{*req.Config}, cfgs...)
 	}
 	if len(cfgs) == 0 {
-		cfgs = []ConfigWire{{}} // default geometry
+		cfgs = []api.Config{{}} // default geometry
 	}
 	for i := range cfgs {
 		cfgs[i] = cfgs[i].Normalized()
@@ -720,7 +702,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	deadline, err := requestDeadline(r, req.DeadlineMS, start, s.opt.DefaultDeadline)
+	deadline, err := requestDeadline(r, req.DeadlineMS, t.start, s.opt.DefaultDeadline)
 	if err != nil {
 		t.fail(http.StatusBadRequest, err)
 		return
@@ -731,8 +713,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	optsFP := string(optsJSON)
-	t.tr.End(parse)
-	observeStage(stageParseUS, start, time.Now())
+	parse.end()
 
 	// Fleet ownership: a request whose configs all hash to one peer is
 	// proxied there, so each config is computed and cached on exactly
@@ -744,7 +725,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if owner := s.fleetOwner(r, ring); owner != nil {
-		if s.forwardMeasure(t, w, req, deadline, owner) {
+		if s.forwardMeasure(t, req, deadline, owner) {
 			return
 		}
 		// The owner was unreachable: degrade to local execution rather
@@ -756,7 +737,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// straight back — no batch, timer, queue slot or breaker check.
 	p := s.probeCache(t, req.Workload, scale, optsFP, cfgs)
 	if len(p.missing) == 0 {
-		s.writeMeasure(t, w, req.Workload, scale, p.results, batchInfoWire{
+		s.writeMeasure(t, req.Workload, scale, p.results, api.BatchInfo{
 			Requests:      1,
 			Configs:       len(cfgs),
 			CacheHits:     p.hits,
@@ -767,7 +748,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	misses := make([]ConfigWire, len(p.missing))
+	misses := make([]api.Config, len(p.missing))
 	for j, i := range p.missing {
 		misses[j] = cfgs[i]
 	}
@@ -785,7 +766,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	info := res.info
 	info.CacheHits, info.CacheDiskHits = p.hits, p.diskHits
-	s.writeMeasure(t, w, req.Workload, scale, p.results, info, execClass(info.Coalesced))
+	s.writeMeasure(t, req.Workload, scale, p.results, info, execClass(info.Coalesced))
 }
 
 // execClass is the latency-series class of an executed response.
@@ -802,13 +783,14 @@ func execClass(coalesced bool) string {
 // first, before their misses can occupy a batch seat; hits, answered
 // by the handlers, and healthy keys are unaffected. On any failure
 // await has already written the error response and returns false.
-func (s *Server) await(t *reqTrack, nb *batch, cfgs []ConfigWire, deadline time.Time) (callResult, bool) {
+func (s *Server) await(t *reqTrack, nb *batch, cfgs []api.Config, deadline time.Time) (callResult, bool) {
 	brkKey := nb.workload + "|" + nb.scale.String()
 	if ok, retryAfter := s.brk.allow(brkKey); !ok {
 		breakerOpenTotal.Inc()
-		t.failFull(http.StatusServiceUnavailable,
-			fmt.Errorf("circuit breaker open for %s after repeated failures", brkKey),
-			true, "breaker_open", retryAfter)
+		t.reply(http.StatusServiceUnavailable, &api.Error{
+			Message: fmt.Sprintf("circuit breaker open for %s after repeated failures", brkKey),
+			Reason:  api.ReasonBreakerOpen, Retryable: true, RetryAfter: retryAfter, TraceID: t.tr.ID(),
+		})
 		return callResult{}, false
 	}
 	wait := t.tr.Begin("batch_wait", -1)
@@ -839,19 +821,16 @@ func (s *Server) await(t *reqTrack, nb *batch, cfgs []ConfigWire, deadline time.
 		}
 		if res.status == http.StatusGatewayTimeout {
 			deadlineExceeded.Inc()
-			t.failFull(res.status, res.err, true, "deadline_exceeded", time.Second)
-		} else {
-			t.fail(res.status, res.err)
 		}
+		t.fail(res.status, res.err)
 	case <-deadlineCh:
 		// This request's own deadline fired first. The batch keeps
 		// running for its seat-mates (its context outlives us); the
 		// worker's buffered send still completes.
 		t.tr.End(wait)
 		deadlineExceeded.Inc()
-		t.failFull(http.StatusGatewayTimeout,
-			fmt.Errorf("deadline of %s exceeded", time.Since(t.start).Round(time.Millisecond)),
-			true, "deadline_exceeded", time.Second)
+		t.fail(http.StatusGatewayTimeout,
+			fmt.Errorf("deadline of %s exceeded", time.Since(t.start).Round(time.Millisecond)))
 	case <-t.req.Context().Done():
 		// Client went away; the worker's buffered send still completes.
 		t.tr.End(wait)
@@ -862,22 +841,32 @@ func (s *Server) await(t *reqTrack, nb *batch, cfgs []ConfigWire, deadline time.
 
 // writeMeasure encodes a successful /v1/measure response and seals the
 // request's trace under class.
-func (s *Server) writeMeasure(t *reqTrack, w http.ResponseWriter, workload string, scale fvcache.Scale, results []fvcache.MeasureResult, info batchInfoWire, class string) {
-	encodeStart := time.Now()
-	encode := t.tr.Begin("encode", -1)
-	out := measureRespWire{
+func (s *Server) writeMeasure(t *reqTrack, workload string, scale fvcache.Scale, results []fvcache.MeasureResult, info api.BatchInfo, class string) {
+	encode := t.stage("encode", stageEncodeUS)
+	out := api.MeasureResponse{
 		Workload: workload,
 		Scale:    scale.String(),
-		Results:  make([]resultWire, len(results)),
+		Results:  make([]api.Result, len(results)),
 		Batch:    info,
 	}
 	for i, mr := range results {
-		out.Results[i] = toResultWire(mr)
+		out.Results[i] = toResult(mr)
 	}
-	writeJSON(w, http.StatusOK, out)
-	t.tr.End(encode)
-	observeStage(stageEncodeUS, encodeStart, time.Now())
+	writeJSON(t.w, http.StatusOK, out)
+	encode.end()
 	t.finish(http.StatusOK, class)
+}
+
+// toResult is one configuration's measurement in wire form.
+func toResult(r fvcache.MeasureResult) api.Result {
+	return api.Result{
+		Stats:        r.Stats,
+		Accesses:     r.Stats.Accesses(),
+		MissRate:     r.Stats.MissRate(),
+		TrafficBytes: r.Stats.TrafficBytes(),
+		FVCFreqFrac:  r.FVCFreqFrac,
+		FVCOccupancy: r.FVCOccupancy,
+	}
 }
 
 // requestDeadline resolves a request's absolute deadline from the
@@ -909,32 +898,23 @@ func requestDeadline(r *http.Request, bodyMS int64, start time.Time, def time.Du
 }
 
 // handleSweep serves POST /v1/sweep, streaming one JSON line per
-// completed artifact followed by a summary line.
+// completed artifact followed by a summary line. A running sweep holds
+// the drain open: Shutdown waits for it, and cancels it once the
+// drain's own deadline expires.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.track("sweep", w, r).fail(http.StatusMethodNotAllowed, errors.New("POST required"))
+	var req api.SweepRequest
+	t, parse := s.open("sweep", w, r, &req)
+	if t == nil {
 		return
 	}
-	reqTotal.Inc()
 	span := obs.Begin("serve:sweep")
 	defer span.Done()
-	t := s.track("sweep", w, r)
-	parse := t.tr.Begin("parse", -1)
-	if s.draining.Load() {
-		t.fail(http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	var req sweepWire
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		t.fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
 	scale, err := parseScale(req.Scale)
 	if err != nil {
 		t.fail(http.StatusBadRequest, err)
 		return
 	}
-	t.tr.End(parse)
+	parse.end()
 	select {
 	case s.sweepSem <- struct{}{}:
 		defer func() { <-s.sweepSem }()
@@ -943,56 +923,43 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		t.fail(http.StatusTooManyRequests, errors.New("sweep capacity exhausted, retry later"))
 		return
 	}
+	s.mu.Lock()
+	if s.qClosed {
+		s.mu.Unlock()
+		t.fail(http.StatusServiceUnavailable, errDraining)
+		return
+	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	defer s.wg.Done()
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 
 	run := t.tr.Begin("sweep_run", -1)
-	defer t.tr.End(run)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	streamed := false
-	res, err := s.execSweep(r.Context(), fvcache.SweepRequest{
+	out := t.ndjson("")
+	res, err := s.execSweep(ctx, fvcache.SweepRequest{
 		Artifacts: req.Artifacts,
 		Scale:     scale,
 		Workers:   req.Workers,
 		Markdown:  req.Markdown,
 		OnArtifact: func(ar fvcache.ArtifactResult) {
-			if !streamed {
-				// First line: commit the streaming response now.
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				streamed = true
-			}
-			enc.Encode(api.SweepLine{Artifact: &ar})
-			if flusher != nil {
-				flusher.Flush()
-			}
+			out.line(api.SweepLine{Artifact: &ar})
 		},
 	})
-	if err != nil {
-		if !streamed {
-			// Nothing on the wire yet: a clean enveloped status is still
-			// possible (unknown artifact and the like are the request's
-			// fault).
-			t.fail(http.StatusBadRequest, err)
-			return
-		}
-		// The 200 and part of the stream are already on the wire; the
-		// failure travels in-band as a terminal NDJSON error line
-		// carrying the same envelope a non-2xx body would.
-		t.tr.SetError(err.Error())
-		enc.Encode(api.SweepLine{Error: &api.Error{
-			Message:   err.Error(),
-			Reason:    api.ReasonInternal,
-			Retryable: false,
-			TraceID:   t.tr.ID(),
-		}})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		t.finish(http.StatusOK, "error")
-		return
+	t.tr.End(run)
+	switch {
+	case err == nil:
+		out.last(api.SweepLine{Summary: res})
+		t.finish(http.StatusOK, "executed")
+	case !out.started:
+		// Nothing on the wire yet: a clean enveloped status is still
+		// possible (unknown artifact and the like are the request's
+		// fault).
+		t.fail(http.StatusBadRequest, err)
+	default:
+		out.fail(&api.Error{Message: err.Error(), Reason: api.ReasonInternal, TraceID: t.tr.ID()})
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc.Encode(api.SweepLine{Summary: res})
-	t.finish(http.StatusOK, "executed")
 }
 
 // handleWorkloads serves GET /v1/workloads.
@@ -1054,44 +1021,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// writeErrorID renders err with the status's default retry semantics:
-// 429/503/504 are retryable (each with a Retry-After), everything else
-// is the request's or the server's fault and retrying verbatim cannot
-// help. The request's trace ID rides in the body, so a client can
-// quote it against /debug/requests.
-func writeErrorID(w http.ResponseWriter, status int, err error, traceID string) {
-	var retryAfter time.Duration
-	var reason string
-	switch {
-	case status == http.StatusTooManyRequests:
-		retryAfter, reason = time.Second, api.ReasonOverloaded
-	case status == http.StatusServiceUnavailable:
-		retryAfter, reason = 5*time.Second, api.ReasonDraining
-	case status == http.StatusGatewayTimeout:
-		retryAfter, reason = time.Second, api.ReasonDeadlineExceeded
-	case status == http.StatusMethodNotAllowed:
-		reason = api.ReasonMethodNotAllowed
-	case status >= 500:
-		reason = api.ReasonInternal
-	default:
-		reason = api.ReasonBadRequest
-	}
-	retryable := status == http.StatusTooManyRequests ||
-		status == http.StatusServiceUnavailable ||
-		status == http.StatusGatewayTimeout
-	writeErrorFullID(w, status, err, retryable, reason, retryAfter, traceID)
-}
-
-// writeErrorFullID is the explicit form: callers that know the cause
-// (breaker, deadline) pass their own reason and Retry-After.
-func writeErrorFullID(w http.ResponseWriter, status int, err error, retryable bool, reason string, retryAfter time.Duration, traceID string) {
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSON(w, status, errorWire{Message: err.Error(), Retryable: retryable, Reason: reason, TraceID: traceID})
 }
 
 // inflight tracks the in-flight request gauge without a registry

@@ -11,8 +11,10 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
+	"fvcache/api"
 	"fvcache/internal/obs"
 	"fvcache/internal/obs/reqtrace"
 )
@@ -83,6 +85,9 @@ type reqTrack struct {
 	req      *http.Request
 	endpoint string
 	start    time.Time
+	// inflight is set once open counts the request in the in-flight
+	// gauge; finish takes it back out.
+	inflight bool
 	done     bool
 }
 
@@ -105,6 +110,9 @@ func (t *reqTrack) finish(status int, class string) {
 		return
 	}
 	t.done = true
+	if t.inflight {
+		inflightReqs.Set(inflightDelta(-1))
+	}
 	elapsed := time.Since(t.start)
 	outcome := outcomeFor(status, class)
 	if byOutcome, ok := latencySeries[t.endpoint]; ok {
@@ -124,19 +132,62 @@ func (t *reqTrack) finish(status int, class string) {
 		"outcome", outcome, "us", elapsed.Microseconds())
 }
 
-// fail renders err with the status's default retry semantics (trace ID
-// attached) and seals the trace.
+// fail renders err with the status's default retry semantics and seals
+// the trace: 429/503/504 are retryable (each with a Retry-After),
+// everything else is the request's or the server's fault and retrying
+// verbatim cannot help.
 func (t *reqTrack) fail(status int, err error) {
-	t.tr.SetError(err.Error())
-	writeErrorID(t.w, status, err, t.tr.ID())
+	e := &api.Error{Message: err.Error(), Reason: api.ReasonBadRequest, TraceID: t.tr.ID()}
+	switch {
+	case status == http.StatusTooManyRequests:
+		e.RetryAfter, e.Reason = time.Second, api.ReasonOverloaded
+	case status == http.StatusServiceUnavailable:
+		e.RetryAfter, e.Reason = 5*time.Second, api.ReasonDraining
+	case status == http.StatusGatewayTimeout:
+		e.RetryAfter, e.Reason = time.Second, api.ReasonDeadlineExceeded
+	case status == http.StatusMethodNotAllowed:
+		e.Reason = api.ReasonMethodNotAllowed
+	case status >= 500:
+		e.Reason = api.ReasonInternal
+	}
+	e.Retryable = e.RetryAfter > 0
+	t.reply(status, e)
+}
+
+// reply answers with the error envelope e — its trace ID rides in the
+// body, so a client can quote it against /debug/requests — plus a
+// Retry-After header when e has one, and seals the trace.
+func (t *reqTrack) reply(status int, e *api.Error) {
+	if e.RetryAfter > 0 {
+		secs := int64((e.RetryAfter + time.Second - 1) / time.Second)
+		t.w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	}
+	t.tr.SetError(e.Message)
+	writeJSON(t.w, status, e)
 	t.finish(status, "")
 }
 
-// failFull is the explicit form for callers that know the cause.
-func (t *reqTrack) failFull(status int, err error, retryable bool, reason string, retryAfter time.Duration) {
-	t.tr.SetError(err.Error())
-	writeErrorFullID(t.w, status, err, retryable, reason, retryAfter, t.tr.ID())
-	t.finish(status, "")
+// stageClock times one serving stage of a request: a span in its trace
+// and one serve_stage_us{stage} sample, both from the same two clock
+// readings, so the trace and the histogram cannot disagree.
+type stageClock struct {
+	tr    *reqtrace.Trace
+	span  int
+	hist  *obs.Histogram
+	start time.Time
+}
+
+// stage starts the named stage now; hist is its serve_stage_us series.
+func (t *reqTrack) stage(name string, hist *obs.Histogram) stageClock {
+	now := time.Now()
+	return stageClock{tr: t.tr, span: t.tr.BeginAt(name, -1, now), hist: hist, start: now}
+}
+
+// end closes the stage's span and observes its duration.
+func (c stageClock) end() {
+	now := time.Now()
+	c.tr.EndAt(c.span, now)
+	observeStage(c.hist, c.start, now)
 }
 
 // attachBatchSpans adds the executed batch's stage timeline under

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fvcache"
+	"fvcache/api"
 	"fvcache/internal/obs"
 	"fvcache/internal/resultcache"
 )
@@ -60,7 +61,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	if reqID == "" {
 		t.Fatal("response carries no X-Request-Id header")
 	}
-	var out measureRespWire
+	var out api.MeasureResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestErrorBodiesCarryTraceID(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var ew errorWire
+	var ew api.Error
 	if err := json.Unmarshal(data, &ew); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestMRCSummaryCarriesTraceID(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	var summary struct {
-		Summary mrcSummaryWire `json:"summary"`
+		Summary api.MRCSummary `json:"summary"`
 	}
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &summary); err != nil {
 		t.Fatal(err)
