@@ -236,6 +236,17 @@ func (v DMView) Geometry() (shift, mask uint32) { return v.shift, v.mask }
 // boundaries.
 func (v DMView) LineAt(i uint32) *Line { return &v.lines[i] }
 
+// Insert is Cache.Insert for the direct-mapped geometry: the line's
+// one way is the victim, so there is no set to scan and no LRU clock
+// to advance.
+func (v DMView) Insert(addr uint32, dirty bool) Victim {
+	tag := addr >> v.shift
+	ln := &v.lines[tag&v.mask]
+	out := Victim{Tag: ln.Tag, Dirty: ln.Dirty, Valid: ln.Valid}
+	*ln = Line{Tag: tag, Valid: true, Dirty: dirty}
+	return out
+}
+
 // Victim describes a line evicted by Insert.
 type Victim struct {
 	Tag   uint32 // line address of the evicted line

@@ -149,4 +149,9 @@ func (s *System) AuditInvariants() error {
 // cached copy of addr's line, which the VerifyValues asserts or the
 // invariant audit must subsequently detect. Never called on the
 // simulation path.
-func (s *System) CorruptReplicaWord(addr, v uint32) { s.mem.StoreWord(addr, v) }
+func (s *System) CorruptReplicaWord(addr, v uint32) {
+	s.mem.StoreWord(addr, v)
+	if s.ranks != nil {
+		s.ranks.store(addr, v)
+	}
+}

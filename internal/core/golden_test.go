@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,6 +30,7 @@ type goldenModel struct {
 	mem map[uint32]uint32
 
 	noWriteAlloc bool
+	skipEmpty    bool
 }
 
 type gLine struct {
@@ -44,7 +46,7 @@ type gEntry struct {
 	val   []uint32
 }
 
-func newGolden(mainLines, lineWords, fvcSlots int, freq []uint32, noWriteAlloc bool) *goldenModel {
+func newGolden(mainLines, lineWords, fvcSlots int, freq []uint32, noWriteAlloc, skipEmpty bool) *goldenModel {
 	g := &goldenModel{
 		lineWords:    lineWords,
 		numLines:     mainLines,
@@ -54,6 +56,7 @@ func newGolden(mainLines, lineWords, fvcSlots int, freq []uint32, noWriteAlloc b
 		fvc:          map[uint32]*gEntry{},
 		mem:          map[uint32]uint32{},
 		noWriteAlloc: noWriteAlloc,
+		skipEmpty:    skipEmpty,
 	}
 	for _, v := range freq {
 		g.freq[v] = true
@@ -67,7 +70,8 @@ func (g *goldenModel) setIdx(la uint32) uint32     { return la % uint32(g.numLin
 func (g *goldenModel) slotIdx(la uint32) uint32    { return la % uint32(g.fvcSlots) }
 
 // evictMain removes the line at set s (if any) and inserts its
-// frequent footprint into the FVC.
+// frequent footprint into the FVC (unless skipEmpty and it has no
+// frequent word).
 func (g *goldenModel) evictMain(s uint32) {
 	ln, ok := g.main[s]
 	if !ok {
@@ -77,12 +81,17 @@ func (g *goldenModel) evictMain(s uint32) {
 	// Footprint insertion (always, per the paper's default).
 	e := &gEntry{tag: ln.tag, word: make([]bool, g.lineWords), val: make([]uint32, g.lineWords)}
 	base := ln.tag * uint32(g.lineWords*4)
+	any := false
 	for i := 0; i < g.lineWords; i++ {
 		v := g.mem[base+uint32(i*4)]
 		if g.freq[v] {
 			e.word[i] = true
 			e.val[i] = v
+			any = true
 		}
+	}
+	if g.skipEmpty && !any {
+		return
 	}
 	g.fvc[g.slotIdx(ln.tag)] = e
 }
@@ -138,52 +147,73 @@ func (g *goldenModel) access(store bool, addr, value uint32) HitSource {
 	return Miss
 }
 
+// TestGoldenModelDifferential drives the golden model and a System
+// through one random op stream per configuration and compares every
+// access's HitSource: line sizes 8–64 B, code widths 1–4 (1 to 15
+// frequent values) and the two ablations.
 func TestGoldenModelDifferential(t *testing.T) {
 	const (
 		mainBytes = 512
-		lineBytes = 16
 		fvcSlots  = 8
 	)
-	freq := []uint32{0, 1, 2, 4, 8, 10, 0xffffffff}
-	for _, noAlloc := range []bool{false, true} {
-		noAlloc := noAlloc
-		name := "writeAlloc"
-		if noAlloc {
-			name = "noWriteAlloc"
-		}
-		t.Run(name, func(t *testing.T) {
-			sys := MustNew(Config{
-				Main:                cache.Params{SizeBytes: mainBytes, LineBytes: lineBytes, Assoc: 1},
-				FVC:                 &fvc.Params{Entries: fvcSlots, LineBytes: lineBytes, Bits: 3},
-				FrequentValues:      freq,
-				NoWriteMissAllocate: noAlloc,
-				VerifyValues:        true,
-			})
-			golden := newGolden(mainBytes/lineBytes, lineBytes/4, fvcSlots, freq, noAlloc)
+	// The first 2^bits-1 of these are a width's frequent values; the
+	// pool adds values no table holds.
+	freqAll := []uint32{0, 1, 2, 4, 8, 10, 0xffffffff, 3, 5, 6, 7, 9, 11, 12, 13}
+	pool := append(append([]uint32(nil), freqAll...), 0xdeadbeef, 99, 77777, 1<<20)
+	type variant struct {
+		name               string
+		noAlloc, skipEmpty bool
+	}
+	variants := []variant{{"writeAlloc", false, false}, {"noWriteAlloc", true, false}, {"skipEmpty", false, true}}
+	for _, vr := range variants {
+		t.Run(vr.name, func(t *testing.T) {
+			for _, lineBytes := range []int{8, 16, 32, 64} {
+				for bits := 1; bits <= 4; bits++ {
+					lineBytes, bits := lineBytes, bits
+					t.Run(fmt.Sprintf("%dB/%db", lineBytes, bits), func(t *testing.T) {
+						freq := freqAll[:fvc.MaxValues(bits)]
+						sys := MustNew(Config{
+							Main:                cache.Params{SizeBytes: mainBytes, LineBytes: lineBytes, Assoc: 1},
+							FVC:                 &fvc.Params{Entries: fvcSlots, LineBytes: lineBytes, Bits: bits},
+							FrequentValues:      freq,
+							NoWriteMissAllocate: vr.noAlloc,
+							SkipEmptyFootprints: vr.skipEmpty,
+							VerifyValues:        true,
+						})
+						golden := newGolden(mainBytes/lineBytes, lineBytes/4, fvcSlots, freq, vr.noAlloc, vr.skipEmpty)
 
-			rng := rand.New(rand.NewSource(1234))
-			pool := []uint32{0, 1, 2, 4, 8, 10, 0xffffffff, 0xdeadbeef, 99, 77777}
-			replica := map[uint32]uint32{}
-			for i := 0; i < 200_000; i++ {
-				addr := uint32(rng.Intn(512)) * 4 // 2KB region
-				var op trace.Op
-				var v uint32
-				if rng.Intn(2) == 0 {
-					op, v = trace.Load, replica[addr]
-				} else {
-					op, v = trace.Store, pool[rng.Intn(len(pool))]
-					replica[addr] = v
+						rng := rand.New(rand.NewSource(int64(1234 + lineBytes*10 + bits)))
+						replica := map[uint32]uint32{}
+						for i := 0; i < 40_000; i++ {
+							addr := uint32(rng.Intn(512)) * 4 // 2KB region
+							var op trace.Op
+							var v uint32
+							if rng.Intn(2) == 0 {
+								op, v = trace.Load, replica[addr]
+							} else {
+								// Skew stores toward this width's table so
+								// lines hold frequent words.
+								if rng.Intn(2) == 0 {
+									v = freq[rng.Intn(len(freq))]
+								} else {
+									v = pool[rng.Intn(len(pool))]
+								}
+								op = trace.Store
+								replica[addr] = v
+							}
+							got := sys.Access(op, addr, v)
+							want := golden.access(op == trace.Store, addr, v)
+							if got != want {
+								t.Fatalf("access %d (%v %#x=%#x): system=%v golden=%v",
+									i, op, addr, v, got, want)
+							}
+						}
+						st := sys.Stats()
+						if st.Hits()+st.Misses != st.Accesses() {
+							t.Errorf("stats inconsistent: %+v", st)
+						}
+					})
 				}
-				got := sys.Access(op, addr, v)
-				want := golden.access(op == trace.Store, addr, v)
-				if got != want {
-					t.Fatalf("access %d (%v %#x=%#x): system=%v golden=%v",
-						i, op, addr, v, got, want)
-				}
-			}
-			st := sys.Stats()
-			if st.Hits()+st.Misses != st.Accesses() {
-				t.Errorf("stats inconsistent: %+v", st)
 			}
 		})
 	}

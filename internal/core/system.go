@@ -241,6 +241,11 @@ type System struct {
 	footprint []uint32
 	fpCodes   []uint8
 
+	// ranks, when set, is the rank image beside the shared mem that
+	// footprints are encoded from (see rankImage). The SystemSet that
+	// owns both writes it; a System never does.
+	ranks *rankImage
+
 	// extMem marks a System whose architectural replica is a shared
 	// memory image owned by a SystemSet. The set's driver applies each
 	// store to the image exactly once, after every member system has
@@ -373,9 +378,7 @@ func (s *System) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 		if dm.Touch(addr, store) {
 			mainHits++
 		} else {
-			switch s.access(store, addr, value) {
-			case MainHit:
-				mainHits++
+			switch s.afterMainMiss(store, addr, value) {
 			case FVCHit:
 				s.stats.FVCHits++
 			case VictimHit:
@@ -456,6 +459,14 @@ func (s *System) access(store bool, addr, value uint32) HitSource {
 	} else if s.main.Touch(addr, store) {
 		return MainHit
 	}
+	return s.afterMainMiss(store, addr, value)
+}
+
+// afterMainMiss is the protocol step after the main cache missed:
+// the FVC or victim cache, else a fetch. Loops that already probed the
+// main cache (the direct-mapped replay loop, the fused probe filter)
+// call it directly.
+func (s *System) afterMainMiss(store bool, addr, value uint32) HitSource {
 	if s.fv != nil {
 		return s.accessWithFVC(store, addr, value)
 	}
@@ -512,7 +523,7 @@ func (s *System) accessWithVictim(store bool, addr uint32) HitSource {
 	if ln, ok := s.vc.Probe(addr); ok {
 		// Swap: the victim line moves into the main cache and the
 		// displaced main line takes its place in the victim cache.
-		v := s.main.Insert(addr, ln.Dirty || store)
+		v := s.insertMain(addr, ln.Dirty || store)
 		if v.Valid {
 			disp := s.vc.Insert(v.Tag, v.Dirty)
 			s.writebackLine(disp)
@@ -520,7 +531,7 @@ func (s *System) accessWithVictim(store bool, addr uint32) HitSource {
 		return VictimHit
 	}
 	s.fetchLine(addr)
-	v := s.main.Insert(addr, store)
+	v := s.insertMain(addr, store)
 	if v.Valid {
 		disp := s.vc.Insert(v.Tag, v.Dirty)
 		s.writebackLine(disp)
@@ -537,8 +548,17 @@ func (s *System) fetchInto(addr uint32, store bool) {
 // access is a store or when merged FVC words were dirty.
 func (s *System) fetchIntoWithDirty(addr uint32, store, mergedDirty bool) {
 	s.fetchLine(addr)
-	v := s.main.Insert(addr, store || mergedDirty)
+	v := s.insertMain(addr, store || mergedDirty)
 	s.handleMainVictim(v)
+}
+
+// insertMain places addr's line in the main cache, through the
+// direct-mapped view when there is one.
+func (s *System) insertMain(addr uint32, dirty bool) cache.Victim {
+	if s.dmOK {
+		return s.dm.Insert(addr, dirty)
+	}
+	return s.main.Insert(addr, dirty)
 }
 
 // fetchLine brings addr's line to the L1 level: from the L2 when
@@ -597,9 +617,13 @@ func (s *System) handleMainVictim(v cache.Victim) {
 		return
 	}
 	base := s.main.BaseAddr(v.Tag)
-	words := s.footprint
-	s.mem.LoadLine(base, words)
-	any := s.fv.EncodeWords(words, s.fpCodes)
+	var any bool
+	if s.ranks != nil {
+		any = s.fv.EncodeRanks(s.ranks.line(base, s.wpl), s.fpCodes)
+	} else {
+		s.mem.LoadLine(base, s.footprint)
+		any = s.fv.EncodeWords(s.footprint, s.fpCodes)
+	}
 	if s.cfg.SkipEmptyFootprints && !any {
 		return
 	}

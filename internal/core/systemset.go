@@ -23,7 +23,9 @@ import (
 // Since a privately-owned replica is a pure function of the store
 // prefix, the shared image equals each member's would-be private
 // replica at every event boundary, so per-member Stats are
-// bit-identical to the per-config replay path.
+// bit-identical to the per-config replay path. The same holds for the
+// rank image FVC members may encode footprints from (see rankImage):
+// the set writes it with the memory image, after the last member.
 //
 // A set with exactly one member is that member's own System: the
 // member owns the memory image and replays through System.ReplayColumns,
@@ -40,6 +42,7 @@ type SystemSet struct {
 	groups  []dmGroup // direct-mapped members, grouped by geometry
 	slow    []*System // members outside the fused probe shape
 	mem     *memsim.Memory
+	ranks   *rankImage // beside mem when a member encodes from ranks; the set writes it
 }
 
 // dmGroup fuses the direct-mapped probes of members sharing one index
@@ -65,6 +68,17 @@ type dmGroup struct {
 	hits        []uint64 // per-member main-hit tally for the current chunk
 	misses      []uint64 // per-member miss tally for the current chunk
 	resyncs     uint64   // filter resyncs this chunk, flushed to obs at chunk end
+
+	// Run state. run says that after the previous event every member
+	// held line runTag in its main cache, in filter row runRow; while
+	// events stay on that line each is a main hit in every member, so
+	// the loop counts it in runHits and, on a store, sets the row's
+	// dirty bits (runDirty: all already set) without probing.
+	run      bool
+	runDirty bool
+	runTag   uint32
+	runRow   int
+	runHits  uint64 // events answered by the run this chunk
 }
 
 type groupMember struct {
@@ -116,6 +130,7 @@ func NewSet(cfgs []Config) (*SystemSet, error) {
 		g.hits = make([]uint64, len(g.members))
 		g.misses = make([]uint64, len(g.members))
 	}
+	ss.ranks = shareRanks(ss.systems)
 	return ss, nil
 }
 
@@ -148,6 +163,9 @@ func (ss *SystemSet) Access(op trace.Op, addr, value uint32) {
 	}
 	if op == trace.Store && ss.solo == nil {
 		ss.mem.StoreWord(addr, value)
+		if ss.ranks != nil {
+			ss.ranks.store(addr, value)
+		}
 	}
 }
 
@@ -206,9 +224,8 @@ func (g *dmGroup) missAt(j int, idx uint32, store bool, addr, value uint32) {
 	if e := g.tags[ei]; e&1 != 0 {
 		ln.Dirty = e&2 != 0
 	}
-	switch m.sys.access(store, addr, value) {
-	case MainHit:
-		g.hits[j]++
+	// The filter answered the main probe: the line is not there.
+	switch m.sys.afterMainMiss(store, addr, value) {
 	case FVCHit:
 		m.sys.stats.FVCHits++
 	case VictimHit:
@@ -237,6 +254,12 @@ func (g *dmGroup) missAt(j int, idx uint32, store bool, addr, value uint32) {
 // so callers can chunk the columns at hook boundaries and observe
 // exact per-member Stats and cache state between chunks, with zero
 // steady-state allocations throughout.
+//
+// Same-line runs skip the probe: once every member of a group holds
+// the event's line, the next events on that line are main hits in
+// every member, which change nothing but dirty bits (see dmGroup's run
+// state). The run is recomputed after any event that reached miss
+// handling and dropped at every call, since chunks and hooks cut runs.
 func (ss *SystemSet) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 	if len(addrs) != len(ops) || len(values) != len(ops) {
 		panic("core: ReplayColumns column length mismatch")
@@ -252,8 +275,9 @@ func (ss *SystemSet) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 	groups := ss.groups
 	for gi := range groups {
 		groups[gi].pull()
+		groups[gi].run = false
 	}
-	mem := ss.mem
+	mem, ranks := ss.mem, ss.ranks
 	slow := ss.slow
 	var loads, stores uint64
 	for i, op := range ops {
@@ -265,10 +289,22 @@ func (ss *SystemSet) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 		for gi := range groups {
 			g := &groups[gi]
 			tag := addr >> g.shift
+			if g.run && tag == g.runTag {
+				g.runHits++
+				if store && !g.runDirty {
+					row := g.tags[g.runRow : g.runRow+len(g.members)]
+					for j := range row {
+						row[j] |= 2
+					}
+					g.runDirty = true
+				}
+				continue
+			}
 			k := len(g.members)
 			base := int(tag&g.mask) * k
 			ents := g.tags[base : base+k]
 			want := tag<<2 | 1
+			held := true
 			for j, e := range ents {
 				if e&^2 == want {
 					if store {
@@ -278,29 +314,47 @@ func (ss *SystemSet) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 					continue
 				}
 				g.missAt(j, tag&g.mask, store, addr, value)
+				held = false
 			}
+			dirty := store
+			if !held {
+				// Miss handling may have left the line out of a
+				// member (an FVC hit, say): read the row back.
+				held, dirty = true, true
+				for _, e := range ents {
+					held = held && e&^2 == want
+					dirty = dirty && e&2 != 0
+				}
+			}
+			g.run, g.runDirty, g.runTag, g.runRow = held, dirty, tag, base
 		}
 		for _, s := range slow {
 			s.Access(op, addr, value)
 		}
 		if store {
 			mem.StoreWord(addr, value)
+			if ranks != nil {
+				ranks.store(addr, value)
+			}
 			stores++
 		} else {
 			loads++
 		}
 	}
+	var runHits uint64
 	for gi := range groups {
 		g := &groups[gi]
 		for j := range g.members {
 			st := &g.members[j].sys.stats
 			st.Loads += loads
 			st.Stores += stores
-			st.MainHits += g.hits[j]
+			st.MainHits += g.hits[j] + g.runHits
 			st.Misses += g.misses[j]
 			g.hits[j] = 0
 			g.misses[j] = 0
 		}
+		runHits += g.runHits
+		g.runHits = 0
 		g.push()
 	}
 	// Slow members tallied Loads/Stores inside Access itself.
@@ -317,5 +371,6 @@ func (ss *SystemSet) ReplayColumns(ops []trace.Op, addrs, values []uint32) {
 			groups[gi].resyncs = 0
 		}
 		obs.ProbeResyncs.Add(resyncs)
+		obs.ProbeRunSkips.Add(runHits)
 	}
 }

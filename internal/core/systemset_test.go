@@ -7,6 +7,7 @@ import (
 
 	"fvcache/internal/cache"
 	"fvcache/internal/fvc"
+	"fvcache/internal/obs"
 	"fvcache/internal/trace"
 )
 
@@ -198,5 +199,120 @@ func BenchmarkSystemSetReplay(b *testing.B) {
 				set.ReplayColumns(ops, addrs, vals)
 			}
 		})
+	}
+}
+
+// runColumns generates a run-heavy stream: each step picks a line and
+// makes up to 24 accesses to its words before moving on, so the fused
+// loop's same-line run skipping carries most events. Stores favour
+// the first values of frequent, so footprints hold frequent words.
+func runColumns(n int, frequent []uint32) (ops []trace.Op, addrs, vals []uint32) {
+	rng := rand.New(rand.NewSource(99))
+	for len(ops) < n {
+		line := uint32(rng.Intn(24<<10)) &^ 31
+		for r := 1 + rng.Intn(24); r > 0; r-- {
+			addr := line + uint32(rng.Intn(8))*4
+			switch x := rng.Intn(100); {
+			case x < 1:
+				ops = append(ops, trace.StackAlloc)
+				addrs = append(addrs, addr)
+				vals = append(vals, 16)
+			case x < 40:
+				v := rng.Uint32()
+				if rng.Intn(100) < 70 {
+					v = frequent[rng.Intn(len(frequent))]
+				}
+				ops = append(ops, trace.Store)
+				addrs = append(addrs, addr)
+				vals = append(vals, v)
+			default:
+				ops = append(ops, trace.Load)
+				addrs = append(addrs, addr)
+				vals = append(vals, 0)
+			}
+		}
+	}
+	return ops[:n], addrs[:n], vals[:n]
+}
+
+// TestSystemSetRunsAndRanksParity checks the fused loop's shortcuts
+// against solo Systems, which take none of them: same-line run
+// skipping over several direct-mapped geometries of one line size,
+// and footprints encoded from the shared rank image by lanes whose
+// tables are prefixes of the longest one, including one whose table
+// leaves codes of its width unused. A lane whose table is not
+// such a prefix encodes words, and slow members (set-associative,
+// one with an FVC) see every event. Whole, chunked and per-event
+// Access replays must all give every lane the Stats of its solo
+// System.
+func TestSystemSetRunsAndRanksParity(t *testing.T) {
+	top := []uint32{0, 1, 0xffffffff, 7, 42, 1024, 0x55aa, 3, 5, 9, 11, 13, 17, 19, 23}
+	dm := func(kb int) cache.Params { return cache.Params{SizeBytes: kb << 10, LineBytes: 32, Assoc: 1} }
+	withFV := func(main cache.Params, entries, bits int, vals []uint32) Config {
+		return Config{Main: main, FVC: &fvc.Params{Entries: entries, LineBytes: 32, Bits: bits}, FrequentValues: vals}
+	}
+	skip := withFV(dm(8), 64, 3, top[:7])
+	skip.SkipEmptyFootprints = true
+	noAlloc := withFV(dm(2), 32, 2, top[:3])
+	noAlloc.NoWriteMissAllocate = true
+	twoWay := cache.Params{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 2}
+	cfgs := []Config{
+		{Main: dm(4)},
+		{Main: dm(8)},
+		withFV(dm(4), 64, 1, top[:1]),
+		withFV(dm(4), 64, 2, top[:3]),
+		withFV(dm(8), 64, 3, top[:7]),
+		skip,
+		noAlloc,
+		withFV(dm(2), 128, 4, top), // the longest table
+		withFV(dm(4), 64, 2, []uint32{top[1], top[0], 99}), // not a prefix
+		withFV(dm(8), 64, 3, top[:5]),                      // rank 5 is not the escape
+		{Main: dm(4), VictimEntries: 8},
+		{Main: twoWay},
+		withFV(twoWay, 64, 3, top[:7]),
+	}
+	notPrefix := 8
+	ops, addrs, vals := runColumns(150_000, top[:7])
+
+	whole := MustNewSet(cfgs)
+	if whole.ranks == nil {
+		t.Fatal("no rank image for a set of prefix-table lanes")
+	}
+	for i, s := range whole.Systems() {
+		if want := cfgs[i].FVC != nil && i != notPrefix; (s.ranks != nil) != want {
+			t.Errorf("config %d: encodes from ranks %v, want %v", i, s.ranks != nil, want)
+		}
+	}
+	var skipped uint64
+	if obs.Enabled {
+		skipped = obs.ProbeRunSkips.Load()
+	}
+	whole.ReplayColumns(ops, addrs, vals)
+	if obs.Enabled && obs.ProbeRunSkips.Load() == skipped {
+		t.Error("no event was answered by a same-line run")
+	}
+
+	chunked := MustNewSet(cfgs)
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < len(ops); {
+		next := min(len(ops), n+1+rng.Intn(5_000))
+		chunked.ReplayColumns(ops[n:next], addrs[n:next], vals[n:next])
+		n = next
+	}
+
+	stepped := MustNewSet(cfgs)
+	for i, op := range ops {
+		stepped.Access(op, addrs[i], vals[i])
+	}
+
+	for i, cfg := range cfgs {
+		solo := MustNew(cfg)
+		solo.ReplayColumns(ops, addrs, vals)
+		want := solo.Stats()
+		for name, set := range map[string]*SystemSet{"fused": whole, "chunked": chunked, "Access-driven": stepped} {
+			if got := set.Systems()[i].Stats(); got != want {
+				t.Errorf("config %d: %s stats diverge from solo replay\nset:  %+v\nsolo: %+v", i, name, got, want)
+			}
+		}
 	}
 }

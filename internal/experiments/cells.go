@@ -63,10 +63,11 @@ func (c cell) config(w workload.Workload) core.Config {
 	return cfg
 }
 
-// plainDM reports whether the cell is a plain direct-mapped cache:
-// pure set-indexed LRU, whose miss rate one MRC pass gives exactly.
-func (c cell) plainDM() bool {
-	return c.main.Assoc == 1 && c == cell{workload: c.workload, scale: c.scale, main: c.main}
+// plainLRU reports whether the cell is a plain cache of any
+// power-of-two associativity: pure set-indexed LRU, whose miss rate
+// one MRC pass gives exactly.
+func (c cell) plainLRU() bool {
+	return c == cell{workload: c.workload, scale: c.scale, main: c.main} && c.main.Assoc&(c.main.Assoc-1) == 0
 }
 
 // cellCache holds the miss rate of every cell measured so far. It
@@ -89,9 +90,9 @@ func WithCellCache(ctx context.Context) context.Context {
 }
 
 // cellJob is one pass over a workload's recording that measures its
-// cells: an MRC pass when they are plain direct-mapped caches of one
-// line size, else one fused replay of cells that share one main
-// geometry.
+// cells, all of one line size: an MRC pass when they are plain
+// direct-mapped caches, another when they are plain set-associative
+// ones, else one fused replay.
 type cellJob struct {
 	w     workload.Workload
 	cells []cell
@@ -99,11 +100,13 @@ type cellJob struct {
 
 // measureCells returns the miss rate in % of every cell. Cells in the
 // context's cell cache are returned as they are. The rest are measured
-// by one MRC pass per (workload, line size) for plain direct-mapped
-// cells and one fused replay per (workload, main geometry) for the
-// others, fanned across opt.Workers. Fused batches stay per geometry:
-// lanes of different geometries share no probe filter, and one batch
-// per workload measured slower.
+// per (workload, line size): plain direct-mapped cells by one MRC pass
+// (the fast direct-mapped table), plain set-associative cells by
+// another, and every other cell by one fused replay, its geometries
+// as probe-filter groups of one batch, fanned across opt.Workers. The
+// groups of a batch share the line tag, so the event decode, the store
+// to the memory image and same-line run detection are paid once per
+// line size rather than once per geometry.
 func measureCells(opt Options, cells []cell) (map[cell]float64, error) {
 	ctx := opt.context()
 	cc, _ := ctx.Value(cellCacheKey{}).(*cellCache)
@@ -159,11 +162,12 @@ func planCells(cells []cell) ([]cellJob, error) {
 		if err := c.main.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", c.workload, err)
 		}
-		// A group is keyed by its workload, scale and main geometry,
-		// and an MRC group by the line size alone.
-		g := cell{workload: c.workload, scale: c.scale, main: c.main}
-		if c.plainDM() {
-			g.main = cache.Params{LineBytes: c.main.LineBytes}
+		// A job is keyed by its workload, scale, line size and kind:
+		// Assoc 1 for the direct-mapped MRC pass, 2 for the
+		// set-associative one and 0 for the fused replay.
+		g := cell{workload: c.workload, scale: c.scale, main: cache.Params{LineBytes: c.main.LineBytes}}
+		if c.plainLRU() {
+			g.main.Assoc = min(c.main.Assoc, 2)
 		}
 		i, ok := at[g]
 		if !ok {
@@ -184,19 +188,14 @@ func (j cellJob) run(ctx context.Context) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(j.cells))
-	if j.cells[0].plainDM() {
-		line := j.cells[0].main.LineBytes
-		sizes := make([]int, len(j.cells))
+	if j.cells[0].plainLRU() {
+		geoms := make([]cache.Params, len(j.cells))
 		for i, c := range j.cells {
-			sizes[i] = c.main.SizeBytes
+			geoms[i] = c.main
 		}
-		bySize, err := dmcMissPcts(ctx, rec, line, sizes)
+		out, err := lruMissPcts(ctx, rec, geoms)
 		if err != nil {
 			return nil, fmt.Errorf("mrc pass %s: %w", j.w.Name(), err)
-		}
-		for i, sz := range sizes {
-			out[i] = bySize[sz]
 		}
 		return out, nil
 	}
@@ -208,6 +207,7 @@ func (j cellJob) run(ctx context.Context) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("measuring %s: %w", j.w.Name(), err)
 	}
+	out := make([]float64, len(j.cells))
 	for i, r := range res {
 		out[i] = r.Stats.MissRate() * 100
 	}
@@ -220,29 +220,56 @@ func (j cellJob) run(ctx context.Context) ([]float64, error) {
 // size in bytes and is bit-identical (in miss counts) to a replay of
 // each geometry — exact because a plain DMC is pure set-indexed LRU.
 func dmcMissPcts(ctx context.Context, rec *trace.Recording, lineBytes int, sizesBytes []int) (map[int]float64, error) {
-	maxSize := 0
-	sets := make([]int, 0, len(sizesBytes))
-	for _, sz := range sizesBytes {
-		maxSize = max(maxSize, sz)
-		sets = append(sets, sz/lineBytes)
+	geoms := make([]cache.Params, len(sizesBytes))
+	for i, sz := range sizesBytes {
+		geoms[i] = cache.Params{SizeBytes: sz, LineBytes: lineBytes, Assoc: 1}
+	}
+	pcts, err := lruMissPcts(ctx, rec, geoms)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]float64, len(sizesBytes))
+	for i, sz := range sizesBytes {
+		out[sz] = pcts[i]
+	}
+	return out, nil
+}
+
+// lruMissPcts computes the miss percentage of plain LRU caches of one
+// line size, in order, from one MRC pass: each geometry is the point
+// of associativity Assoc on the curve of its set count, exact in miss
+// counts. With every geometry direct mapped the pass is MaxAssoc 1,
+// the fused last-line-table fast path (see mrc's dmtable.go).
+func lruMissPcts(ctx context.Context, rec *trace.Recording, geoms []cache.Params) ([]float64, error) {
+	maxSize, maxAssoc := 0, 1
+	sets := make([]int, len(geoms))
+	for i, g := range geoms {
+		maxSize = max(maxSize, g.SizeBytes)
+		maxAssoc = max(maxAssoc, g.Assoc)
+		sets[i] = g.NumSets()
 	}
 	res, err := mrc.Analyze(rec, mrc.Options{
-		LineBytes:    lineBytes,
+		LineBytes:    geoms[0].LineBytes,
 		MaxSizeBytes: maxSize,
 		SetCounts:    sets,
-		// Only the direct-mapped point of each geometry is consumed, so
-		// MaxAssoc 1 selects the fused last-line-table fast path (which
-		// needs no Shards fan-out — see mrc's dmtable.go).
-		MaxAssoc: 1,
-		Ctx:      ctx,
+		MaxAssoc:     maxAssoc,
+		Ctx:          ctx,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int]float64, len(res.Curves))
-	for _, c := range res.Curves {
-		// The direct-mapped point of each per-set curve is assoc 1.
-		out[c.Sets*lineBytes] = c.Points[0].MissRatio * 100
+	out := make([]float64, len(geoms))
+	for i, g := range geoms {
+		for _, c := range res.Curves {
+			if c.Sets != sets[i] {
+				continue
+			}
+			for _, p := range c.Points {
+				if p.Assoc == g.Assoc {
+					out[i] = p.MissRatio * 100
+				}
+			}
+		}
 	}
 	return out, nil
 }

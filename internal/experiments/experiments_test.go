@@ -270,9 +270,10 @@ type cellCase struct {
 
 // cellCases lists every kind of cell the cell cache routes, for w at
 // test scale: plain direct-mapped caches of several sizes and lines
-// (MRC), direct-mapped caches with FVCs of 1, 3 and 7 values, plain
-// and FVC-augmented 2- and 4-way caches, a 2-way FVC, both FVC
-// ablations and a victim cache (fused replay).
+// and plain 2- and 4-way caches of two line sizes (MRC), direct-mapped
+// caches with FVCs of 1, 3 and 7 values, FVC-augmented 2- and 4-way
+// caches, a 2-way FVC, both FVC ablations and a victim cache (fused
+// replay).
 func cellCases(w workload.Workload) []cellCase {
 	const scale = workload.Test
 	geom := func(sz, line, assoc int) cache.Params {
@@ -298,6 +299,10 @@ func cellCases(w workload.Workload) []cellCase {
 		cases = append(cases,
 			cellCase{baseCell(w, scale, g), core.Config{Main: g}},
 			cellCase{fvcCell(w, scale, g, 512, 3), withFV(g, 512, 3)})
+	}
+	// A set-associative MRC pass whose curves have different ladders.
+	for _, g := range []cache.Params{geom(8<<10, 16, 2), geom(4<<10, 16, 4)} {
+		cases = append(cases, cellCase{baseCell(w, scale, g), core.Config{Main: g}})
 	}
 	assoc := fvcCell(w, scale, dm, 512, 3)
 	assoc.fvc.Assoc = 2
@@ -362,8 +367,9 @@ func TestCellCacheMatchesReplay(t *testing.T) {
 
 // TestPlanCellsRouting checks where the cell cache sends each cell:
 // plain direct-mapped cells to one MRC pass per (workload, line size),
-// every other cell to one fused replay per (workload, main geometry),
-// each distinct cell exactly once.
+// plain set-associative cells to another, every other cell to one
+// fused replay per (workload, line size), each distinct cell exactly
+// once.
 func TestPlanCellsRouting(t *testing.T) {
 	ws, err := fvlSuite()
 	if err != nil {
@@ -379,20 +385,24 @@ func TestPlanCellsRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// kind is 1 for the direct-mapped MRC pass, 2 for the
+	// set-associative one and 0 for the fused replay.
+	kind := func(c cell) int {
+		if !c.plainLRU() {
+			return 0
+		}
+		return min(c.main.Assoc, 2)
+	}
 	type group struct {
 		workload string
-		mrc      bool
-		main     cache.Params
+		kind     int
+		line     int
 	}
 	groups := map[group]bool{}
 	planned := map[cell]bool{}
 	for _, j := range jobs {
 		first := j.cells[0]
-		mrc := first.plainDM()
-		g := group{first.workload, mrc, first.main}
-		if mrc {
-			g.main = cache.Params{LineBytes: first.main.LineBytes}
-		}
+		g := group{first.workload, kind(first), first.main.LineBytes}
 		if groups[g] {
 			t.Errorf("two jobs for %+v", g)
 		}
@@ -403,12 +413,10 @@ func TestPlanCellsRouting(t *testing.T) {
 				t.Errorf("%+v planned twice", c)
 			case c.workload != j.w.Name() || c.workload != first.workload:
 				t.Errorf("%+v in a %s job", c, j.w.Name())
-			case mrc != c.plainDM():
-				t.Errorf("%+v in a job with MRC %v", c, mrc)
-			case mrc && c.main.LineBytes != first.main.LineBytes:
-				t.Errorf("%+v in an MRC job of %dB lines", c, first.main.LineBytes)
-			case !mrc && c.main != first.main:
-				t.Errorf("%+v in a replay of %v", c, first.main)
+			case kind(c) != g.kind:
+				t.Errorf("%+v in a job of kind %d", c, g.kind)
+			case c.main.LineBytes != g.line:
+				t.Errorf("%+v in a job of %dB lines", c, g.line)
 			}
 			planned[c] = true
 		}

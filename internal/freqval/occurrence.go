@@ -34,7 +34,19 @@ type OccurrenceSampler struct {
 
 	live    map[uint32]struct{}
 	samples []Sample
+
+	// recent is a direct-mapped filter in front of live: a slot holding
+	// addr|1 says addr is live, so an access to it skips the map
+	// assignment. A free clears the slots of the addresses it retires.
+	recent [recentSlots]uint32
+	// counts is the per-sample value tally, reused across samples.
+	counts trace.ValueCounts
 }
+
+// recentSlots sizes the live-set filter (16 KB of addresses).
+const recentSlots = 4096
+
+func recentSlot(addr uint32) uint32 { return (addr >> 2) & (recentSlots - 1) }
 
 // NewOccurrenceSampler samples mem every interval accesses.
 func NewOccurrenceSampler(mem *memsim.Memory, interval uint64) *OccurrenceSampler {
@@ -53,7 +65,10 @@ func NewOccurrenceSampler(mem *memsim.Memory, interval uint64) *OccurrenceSample
 func (o *OccurrenceSampler) Emit(e trace.Event) {
 	switch e.Op {
 	case trace.Load, trace.Store:
-		o.live[e.Addr] = struct{}{}
+		if h := recentSlot(e.Addr); o.recent[h] != e.Addr|1 {
+			o.live[e.Addr] = struct{}{}
+			o.recent[h] = e.Addr | 1
+		}
 		o.accesses++
 		if o.accesses >= o.nextAt {
 			o.takeSample()
@@ -61,16 +76,22 @@ func (o *OccurrenceSampler) Emit(e trace.Event) {
 		}
 	case trace.StackFree, trace.HeapFree:
 		for off := uint32(0); off < e.Size(); off += trace.WordBytes {
-			delete(o.live, e.Addr+off)
+			a := e.Addr + off
+			delete(o.live, a)
+			if h := recentSlot(a); o.recent[h] == a|1 {
+				o.recent[h] = 0
+			}
 		}
 	}
 }
 
 func (o *OccurrenceSampler) takeSample() {
-	counts := make(map[uint32]int)
+	o.counts.Reset()
 	for addr := range o.live {
-		counts[o.mem.LoadWord(addr)]++
+		o.counts.Add(o.mem.LoadWord(addr))
 	}
+	counts := make(map[uint32]int, o.counts.Len())
+	o.counts.Each(func(v uint32, n uint64) { counts[v] = int(n) })
 	o.samples = append(o.samples, Sample{
 		AtAccess:  o.accesses,
 		Locations: len(o.live),

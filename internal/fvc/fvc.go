@@ -100,6 +100,11 @@ type FVC struct {
 
 	lineShift uint32
 	idxMask   uint32
+	wordMask  uint32 // words per line - 1
+	dm        bool   // direct mapped: a line's only way is entries[lineAddr&idxMask]
+	// rankCode maps a rank in a list this table is a prefix of to
+	// its code: itself below the table's length, else the escape.
+	rankCode [256]uint8
 }
 
 // New builds an FVC with geometry p over the frequent value table t.
@@ -118,13 +123,26 @@ func New(p Params, t *Table) (*FVC, error) {
 	}
 	f := &FVC{
 		p:         p,
-		table:     t,
 		entries:   entries,
-		escape:    t.Escape(),
 		idxMask:   uint32(p.Sets() - 1),
 		lineShift: uint32(log2(p.LineBytes)),
+		wordMask:  uint32(p.WordsPerLine() - 1),
+		dm:        p.assoc() == 1,
 	}
+	f.setTable(t)
 	return f, nil
+}
+
+// setTable makes t the table codes are read and written with.
+func (f *FVC) setTable(t *Table) {
+	f.table = t
+	f.escape = t.Escape()
+	for r := range f.rankCode {
+		f.rankCode[r] = f.escape
+		if r < t.Len() {
+			f.rankCode[r] = uint8(r)
+		}
+	}
 }
 
 // MustNew is New that panics on error.
@@ -156,6 +174,12 @@ func (f *FVC) LineAddr(addr uint32) uint32 { return addr >> f.lineShift }
 
 // find returns the way holding lineAddr within its set, or nil.
 func (f *FVC) find(lineAddr uint32) *Entry {
+	if f.dm {
+		if e := &f.entries[lineAddr&f.idxMask]; e.Valid && e.Tag == lineAddr {
+			return e
+		}
+		return nil
+	}
 	set := f.set(lineAddr)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == lineAddr {
@@ -175,6 +199,9 @@ func (f *FVC) set(lineAddr uint32) []Entry {
 // victimWay picks the fill target in lineAddr's set: an invalid way if
 // any, else the LRU way.
 func (f *FVC) victimWay(lineAddr uint32) *Entry {
+	if f.dm {
+		return &f.entries[lineAddr&f.idxMask]
+	}
 	set := f.set(lineAddr)
 	v := &set[0]
 	for i := range set {
@@ -190,7 +217,7 @@ func (f *FVC) victimWay(lineAddr uint32) *Entry {
 }
 
 func (f *FVC) wordIndex(addr uint32) int {
-	return int((addr >> 2) & uint32(f.p.WordsPerLine()-1))
+	return int((addr >> 2) & f.wordMask)
 }
 
 // Probe is the parallel-lookup result for one access.
@@ -248,9 +275,11 @@ func (f *FVC) WriteWord(addr, v uint32) bool {
 // full Entry snapshot allocate one per displacement, which the
 // steady-state access path cannot afford.
 type Displaced struct {
-	Tag       uint32
-	Valid     bool
-	Dirty     bool
+	Tag   uint32
+	Valid bool
+	Dirty bool
+	// FreqWords is the number of frequent words a dirty entry writes
+	// back; it is not counted (0) for a clean one.
 	FreqWords int
 }
 
@@ -259,7 +288,11 @@ func (f *FVC) displaced(e *Entry) Displaced {
 	if !e.Valid {
 		return Displaced{}
 	}
-	return Displaced{Tag: e.Tag, Valid: true, Dirty: e.Dirty, FreqWords: e.FrequentWords(f.escape)}
+	d := Displaced{Tag: e.Tag, Valid: true, Dirty: e.Dirty}
+	if e.Dirty {
+		d.FreqWords = e.FrequentWords(f.escape)
+	}
+	return d
 }
 
 // fillFootprint overwrites e with lineAddr's encoded footprint (clean).
@@ -327,9 +360,26 @@ func (f *FVC) EncodeWords(words []uint32, codes []uint8) (anyFrequent bool) {
 	return anyFrequent
 }
 
-// InstallCodes installs a footprint pre-encoded by EncodeWords,
-// returning the displaced entry's accounting summary. The new entry is
-// clean, matching InstallFootprint.
+// EncodeRanks is EncodeWords for a line whose words are given by rank:
+// ranks[i] is the position of word i's value in a frequent value list
+// that this FVC's table is a prefix of (a rank at or past the list's
+// end for a value not in it). A rank below the table's length is the
+// word's code and any other rank is the escape, so no value is looked
+// up.
+func (f *FVC) EncodeRanks(ranks, codes []uint8) (anyFrequent bool) {
+	codes = codes[:len(ranks)]
+	var freq uint8 // nonzero once a code is not the escape
+	for i, r := range ranks {
+		c := f.rankCode[r]
+		codes[i] = c
+		freq |= c ^ f.escape
+	}
+	return freq != 0
+}
+
+// InstallCodes installs a footprint pre-encoded by EncodeWords or
+// EncodeRanks, returning the displaced entry's accounting summary. The
+// new entry is clean, matching InstallFootprint.
 func (f *FVC) InstallCodes(lineAddr uint32, codes []uint8) Displaced {
 	if len(codes) != f.p.WordsPerLine() {
 		panic(fmt.Sprintf("fvc: footprint of %d codes, want %d", len(codes), f.p.WordsPerLine()))
@@ -435,8 +485,7 @@ func (f *FVC) ReplaceTable(t *Table) (dirtyWords int, err error) {
 		e.Valid = false
 		e.Dirty = false
 	}
-	f.table = t
-	f.escape = t.Escape()
+	f.setTable(t)
 	return dirtyWords, nil
 }
 

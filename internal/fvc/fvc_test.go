@@ -1,6 +1,8 @@
 package fvc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +62,44 @@ func TestTableEncodeDecode(t *testing.T) {
 	}
 	if tbl.Contains(99999) {
 		t.Error("Contains(99999) = true")
+	}
+}
+
+// TestTableEncodeMatchesScan checks the hashed tables (up to 16
+// values) and the map-indexed ones against a scan of the values, for
+// every table size and for values in and out of the table, including
+// values that differ only in high bits.
+func TestTableEncodeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 40; n++ {
+		vals := make([]uint32, 0, n)
+		for len(vals) < n {
+			v := rng.Uint32()
+			if rng.Intn(2) == 0 {
+				v = uint32(len(vals)) << 28
+			}
+			if !slices.Contains(vals, v) {
+				vals = append(vals, v)
+			}
+		}
+		bits := 1
+		for MaxValues(bits) < n {
+			bits++
+		}
+		tbl := MustTable(bits, vals)
+		probes := append(slices.Clone(vals), 0, 1, 0xffffffff, 1<<31, rng.Uint32(), rng.Uint32())
+		for _, v := range probes {
+			want, wantOK := tbl.Escape(), false
+			if i := slices.Index(vals, v); i >= 0 {
+				want, wantOK = uint8(i), true
+			}
+			if code, ok := tbl.Encode(v); code != want || ok != wantOK {
+				t.Errorf("%d values: Encode(%#x) = %d/%v, want %d/%v", n, v, code, ok, want, wantOK)
+			}
+			if tbl.Contains(v) != wantOK {
+				t.Errorf("%d values: Contains(%#x) = %v", n, v, !wantOK)
+			}
+		}
 	}
 }
 

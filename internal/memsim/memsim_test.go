@@ -57,6 +57,32 @@ func TestMemoryPageBoundary(t *testing.T) {
 	}
 }
 
+// TestByteImage checks the byte image against a map: unwritten words
+// read as the fill byte, on unbacked pages and on backed ones, and a
+// line read sees every store, across pages far apart in the address
+// space.
+func TestByteImage(t *testing.T) {
+	b := NewByteImage(7)
+	want := map[uint32]uint8{}
+	for i, addr := range []uint32{0, 4, 28, PageWords * 4, 0xfffffffc, 0x80001010} {
+		b.Store(addr, uint8(i))
+		want[addr] = uint8(i)
+	}
+	for _, base := range []uint32{0, 32, PageWords * 4, 0xffffffe0, 0x80001000, 0x40000000} {
+		line := b.Line(base, 8)
+		for w := range line {
+			addr := base + uint32(w)*4
+			exp, ok := want[addr]
+			if !ok {
+				exp = 7
+			}
+			if line[w] != exp {
+				t.Errorf("byte at %#x = %d, want %d", addr, line[w], exp)
+			}
+		}
+	}
+}
+
 func TestCheckAligned(t *testing.T) {
 	CheckAligned(0x1000) // must not panic
 	defer func() {

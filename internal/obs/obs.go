@@ -53,6 +53,10 @@ var (
 	// ProbeResyncs counts per-line probe-filter resyncs around outlined
 	// miss handling in the fused replay loop.
 	ProbeResyncs = Default.Counter("probe_filter_resyncs_total")
+	// ProbeRunSkips counts fused-replay group probes answered by a
+	// same-line run (every member already holds the line) instead of
+	// a filter scan, flushed once per chunk.
+	ProbeRunSkips = Default.Counter("probe_filter_run_skips_total")
 	// RecordingHits / RecordingMisses count recording-cache lookups
 	// that found / had to record a workload capture.
 	RecordingHits   = Default.Counter("recording_cache_hits_total")

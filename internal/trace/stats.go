@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -68,13 +69,13 @@ func (s *Stats) String() string {
 // carried it. It powers the "frequently accessed values" half of the
 // paper's Section 2 study.
 type ValueHistogram struct {
-	counts map[uint32]uint64
+	counts ValueCounts
 	total  uint64
 }
 
 // NewValueHistogram returns an empty histogram.
 func NewValueHistogram() *ValueHistogram {
-	return &ValueHistogram{counts: make(map[uint32]uint64)}
+	return &ValueHistogram{}
 }
 
 // Emit records the value of an access event.
@@ -82,7 +83,7 @@ func (h *ValueHistogram) Emit(e Event) {
 	if !e.Op.IsAccess() {
 		return
 	}
-	h.counts[e.Value]++
+	h.counts.Add(e.Value)
 	h.total++
 }
 
@@ -90,10 +91,93 @@ func (h *ValueHistogram) Emit(e Event) {
 func (h *ValueHistogram) Total() uint64 { return h.total }
 
 // Count returns the access count for value v.
-func (h *ValueHistogram) Count(v uint32) uint64 { return h.counts[v] }
+func (h *ValueHistogram) Count(v uint32) uint64 { return h.counts.Count(v) }
 
 // Distinct returns the number of distinct values seen.
-func (h *ValueHistogram) Distinct() int { return len(h.counts) }
+func (h *ValueHistogram) Distinct() int { return h.counts.Len() }
+
+// ValueCounts is a count per distinct uint32, the counting core of
+// ValueHistogram and of the occurrence sampler's snapshots. It is an
+// open-addressed table with linear probing, so the per-access Add that
+// a map would serve with a hashed assignment is one multiply and,
+// mostly, one probe. The zero value is empty and ready to use.
+type ValueCounts struct {
+	keys   []uint32
+	counts []uint64 // 0 marks an empty slot: a present key counts >= 1
+	n      int
+	shift  uint32 // 32 - log2(len(keys))
+}
+
+// Add counts one more occurrence of v.
+func (c *ValueCounts) Add(v uint32) {
+	if 2*(c.n+1) > len(c.keys) {
+		c.grow()
+	}
+	mask := uint32(len(c.keys) - 1)
+	for i := (v * 0x9e3779b1) >> c.shift; ; i = (i + 1) & mask {
+		if c.counts[i] == 0 {
+			c.keys[i], c.counts[i] = v, 1
+			c.n++
+			return
+		}
+		if c.keys[i] == v {
+			c.counts[i]++
+			return
+		}
+	}
+}
+
+// Count returns how many times v was added.
+func (c *ValueCounts) Count(v uint32) uint64 {
+	if c.n == 0 {
+		return 0
+	}
+	mask := uint32(len(c.keys) - 1)
+	for i := (v * 0x9e3779b1) >> c.shift; c.counts[i] != 0; i = (i + 1) & mask {
+		if c.keys[i] == v {
+			return c.counts[i]
+		}
+	}
+	return 0
+}
+
+// Len returns the number of distinct values added.
+func (c *ValueCounts) Len() int { return c.n }
+
+// Each calls fn with every distinct value and its count, in no
+// particular order.
+func (c *ValueCounts) Each(fn func(v uint32, n uint64)) {
+	for i, n := range c.counts {
+		if n != 0 {
+			fn(c.keys[i], n)
+		}
+	}
+}
+
+// Reset empties the table, keeping its storage.
+func (c *ValueCounts) Reset() {
+	clear(c.counts)
+	c.n = 0
+}
+
+// grow doubles the table (from 64 slots) and re-adds every count.
+func (c *ValueCounts) grow() {
+	keys, counts := c.keys, c.counts
+	size := max(64, 2*len(keys))
+	c.keys, c.counts = make([]uint32, size), make([]uint64, size)
+	c.shift = uint32(32 - bits.TrailingZeros(uint(size)))
+	mask := uint32(size - 1)
+	for j, n := range counts {
+		if n == 0 {
+			continue
+		}
+		i := (keys[j] * 0x9e3779b1) >> c.shift
+		for c.counts[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.keys[i], c.counts[i] = keys[j], n
+	}
+}
 
 // ValueCount pairs a value with its frequency.
 type ValueCount struct {
@@ -104,10 +188,10 @@ type ValueCount struct {
 // TopK returns the k most frequent values in decreasing order of
 // count, breaking ties by smaller value for determinism.
 func (h *ValueHistogram) TopK(k int) []ValueCount {
-	all := make([]ValueCount, 0, len(h.counts))
-	for v, c := range h.counts {
+	all := make([]ValueCount, 0, h.counts.Len())
+	h.counts.Each(func(v uint32, c uint64) {
 		all = append(all, ValueCount{Value: v, Count: c})
-	}
+	})
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
 			return all[i].Count > all[j].Count
