@@ -42,10 +42,11 @@ lint-examples:
 # api/client packages plus the engine golden digest, short fuzz smokes
 # over the hardened trace reader, the columnar chunk codec, the
 # result-cache entry codec, the config fingerprint (the key every
-# cache and coalescing path trusts) and the /v1/measure and /v1/mrc
-# request decoders (no panic, every refusal an error envelope, every
-# 200 well-formed, and no 200 for a body with an unknown top-level
-# field or data after its JSON value), a single-iteration pass over every
+# cache and coalescing path trusts) and the /v1/measure, /v1/mrc and
+# /v1/sweep request decoders (no panic, every refusal an error
+# envelope, every 200 well-formed, no 200 for a body with an unknown
+# top-level field or data after its JSON value, and no sweep given
+# more workers than the server's pool), a single-iteration pass over every
 # benchmark so the benchmark corpus cannot rot, and the -verify passes
 # over the committed artifacts: benchsweep checks BENCH_sweep.json
 # (every speedup layer holds its threshold — including the analytic
@@ -67,6 +68,7 @@ check: vet lint-examples build
 	$(GO) test ./api -run='^$$' -fuzz=FuzzConfigFingerprint -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMeasureRequest -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMRCRequest -fuzztime=5s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSweepRequest -fuzztime=5s
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchsweep -verify BENCH_sweep.json
 	$(GO) run ./cmd/serveload -verify BENCH_serve.json
@@ -93,6 +95,7 @@ fuzz:
 	$(GO) test ./api -run='^$$' -fuzz=FuzzConfigFingerprint -fuzztime=60s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMeasureRequest -fuzztime=60s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMRCRequest -fuzztime=60s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSweepRequest -fuzztime=60s
 
 fmt:
 	gofmt -w .

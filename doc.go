@@ -14,7 +14,7 @@
 //   - internal/sim: profile→measure pipeline and parallel sweeps
 //   - internal/experiments: one reproduction per paper table/figure
 //
-// Binaries: cmd/fvcsim, cmd/fvlstudy, cmd/experiments, cmd/tracegen.
+// Binaries: cmd/fvcsim, cmd/experiments, cmd/tracegen.
 // Runnable examples: examples/quickstart and friends.
 //
 // bench_test.go in this directory holds one testing.B benchmark per

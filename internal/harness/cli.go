@@ -48,8 +48,8 @@ func SignalContext(parent context.Context, timeout time.Duration) (context.Conte
 }
 
 // Run executes fn behind the harness panic boundary: a panic comes
-// back as a *PanicError instead of crashing the binary. Single-task
-// analogue of RunSweep for cmd/ binaries that produce one artifact.
+// back as a *PanicError instead of crashing the binary. It is the
+// panic boundary of the cmd/ binaries that produce one artifact.
 func Run(ctx context.Context, fn func(ctx context.Context) error) error {
 	if err := ctx.Err(); err != nil {
 		return err

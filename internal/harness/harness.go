@@ -1,15 +1,15 @@
 // Package harness is the fault-tolerant run layer every entry point
 // routes through. It provides:
 //
+//   - Recover: the one panic boundary, turning a panic into a
+//     *PanicError that carries the panicking goroutine's stack.
 //   - Map: a bounded, context-aware parallel map with per-task panic
 //     recovery and first-error cancellation.
-//   - RunSweep: a sequential sweep runner with per-artifact panic
-//     isolation and graceful degradation — one failing artifact is
-//     reported (with its recovered stack trace) in a final failure
-//     summary while the rest complete — plus a checkpoint manifest so
-//     an interrupted sweep resumes without redoing finished artifacts.
-//   - SignalContext: shared SIGINT/timeout plumbing for the cmd/
-//     binaries.
+//   - Manifest: the checkpoint file format fvcache.Sweep keeps in an
+//     output directory, so an interrupted sweep resumes without
+//     redoing finished artifacts.
+//   - The cmd/ binaries' shared flags, SIGINT/timeout context, exit
+//     codes and failure epilogue.
 //
 // The design principle: simulation code may assert (panic) freely when
 // an invariant breaks; the harness converts those asserts into errors

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// ManifestName is the checkpoint file RunSweep maintains inside the
-// sweep's output directory.
+// ManifestName is the checkpoint file a sweep maintains inside its
+// output directory.
 const ManifestName = "manifest.json"
 
 // ManifestEntry records one completed artifact.

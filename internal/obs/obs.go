@@ -68,7 +68,7 @@ var (
 	// HarnessPanics counts panics recovered at any harness boundary.
 	HarnessPanics = Default.Counter("harness_panics_total")
 	// SweepTasksDone / SweepTasksFailed / SweepTasksSkipped count sweep
-	// task outcomes across harness.RunSweep calls.
+	// artifact outcomes across fvcache.Sweep calls.
 	SweepTasksDone    = Default.Counter("sweep_tasks_done_total")
 	SweepTasksFailed  = Default.Counter("sweep_tasks_failed_total")
 	SweepTasksSkipped = Default.Counter("sweep_tasks_skipped_total")

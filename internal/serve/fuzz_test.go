@@ -1,8 +1,9 @@
-// Fuzz tests for the /v1/measure and /v1/mrc request decoders: any
-// body and query string must get a well-formed answer from Handler(),
-// never a panic, and a body with a top-level key its request type does
-// not declare, or with bytes after its JSON value, never gets a 200. The exec hook is stubbed to answer at once, so the
-// fuzzers exercise parsing, validation, keying, coalescing and
+// Fuzz tests for the /v1/measure, /v1/mrc and /v1/sweep request
+// decoders: any body and query string must get a well-formed answer
+// from Handler(), never a panic, and a body with a top-level key its
+// request type does not declare, or with bytes after its JSON value,
+// never gets a 200. The exec hooks are stubbed to answer at once, so
+// the fuzzers exercise parsing, validation, keying, coalescing and
 // encoding, not the engines.
 package serve
 
@@ -207,6 +208,68 @@ func FuzzMRCRequest(f *testing.F) {
 		// Every requested set count is a curve of at least one point.
 		if sum.Points != points || sum.Curves < 1 || points < sum.Curves || obs.Enabled && sum.TraceID == "" {
 			t.Fatalf("summary %+v after %d points", sum, points)
+		}
+	})
+}
+
+func FuzzSweepRequest(f *testing.F) {
+	fuzzSeeds(f, []string{
+		`{}`,
+		`{"artifacts":["tab1"],"scale":"test"}`,
+		`{"artifacts":["fig10","tab1"],"scale":"train","markdown":true,"workers":2}`,
+		`{"workers":1000000}`,
+		`{"workers":-1}`,
+		`{"scale":"huge"}`,
+		`{"artifacts":`,
+		`[]`,
+		``,
+	})
+	sv := fuzzServer(f)
+	// The stub streams one artifact whose output echoes the workers it
+	// was given.
+	sv.execSweep = func(ctx context.Context, req fvcache.SweepRequest) (*fvcache.SweepResult, error) {
+		ar := fvcache.ArtifactResult{ID: "stub", Status: "done", Output: strconv.Itoa(req.Workers)}
+		req.OnArtifact(ar)
+		return &fvcache.SweepResult{Artifacts: []fvcache.ArtifactResult{ar}, Done: 1}, nil
+	}
+	pool := sv.opt.Workers
+	f.Fuzz(func(t *testing.T, body []byte, query string) {
+		rec := serveFuzz(sv, "/v1/sweep", body, query)
+		if rec.Code != http.StatusOK {
+			checkRefusal(t, rec, body, query)
+			return
+		}
+		if why := strictViolation(body, api.SweepRequest{}); why != "" {
+			t.Fatalf("200 for a body with %s: %q", why, body)
+		}
+		sc := bufio.NewScanner(rec.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		var sum *fvcache.SweepResult
+		artifacts := 0
+		for sc.Scan() {
+			var line api.SweepLine
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("non-JSON NDJSON line %q: %v", sc.Bytes(), err)
+			}
+			switch {
+			case sum != nil:
+				t.Fatalf("line after the summary: %s", sc.Bytes())
+			case line.Artifact != nil && line.Summary == nil && line.Error == nil:
+				artifacts++
+				if w, err := strconv.Atoi(line.Artifact.Output); err != nil || w < 1 || w > pool {
+					t.Fatalf("sweep ran with workers %q, want [1, %d]: %q", line.Artifact.Output, pool, body)
+				}
+			case line.Summary != nil && line.Artifact == nil && line.Error == nil:
+				sum = line.Summary
+			default:
+				t.Fatalf("line is neither artifact nor summary: %s", sc.Bytes())
+			}
+		}
+		if sum == nil {
+			t.Fatalf("200 stream has no summary: %s", rec.Body.Bytes())
+		}
+		if artifacts != 1 || sum.Done != 1 || len(sum.Artifacts) != 1 {
+			t.Fatalf("summary %+v after %d artifacts", sum, artifacts)
 		}
 	})
 }

@@ -568,6 +568,30 @@ func TestSweepStreamsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSweepWorkersClampedToPool checks that /v1/sweep hands the sweep
+// at most the server's pool size in workers, and all of it when the
+// request sets none.
+func TestSweepWorkersClampedToPool(t *testing.T) {
+	sv, _ := newTestService(t, Options{Workers: 2})
+	var got int
+	sv.execSweep = func(ctx context.Context, req fvcache.SweepRequest) (*fvcache.SweepResult, error) {
+		got = req.Workers
+		return &fvcache.SweepResult{}, nil
+	}
+	for body, want := range map[string]int{
+		`{"workers":1000000}`: 2,
+		`{"workers":-3}`:      2,
+		`{}`:                  2,
+		`{"workers":1}`:       1,
+	} {
+		rec := httptest.NewRecorder()
+		sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || got != want {
+			t.Errorf("%s: status %d, sweep got %d workers, want %d", body, rec.Code, got, want)
+		}
+	}
+}
+
 // TestDefaultConfigRequest checks the minimal useful body measures the
 // default geometry.
 func TestDefaultConfigRequest(t *testing.T) {

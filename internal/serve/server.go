@@ -936,12 +936,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer context.AfterFunc(s.baseCtx, cancel)()
 
+	// A sweep's simulations share the machine with the batch pool, so
+	// they get at most its worker count; unset means all of it.
+	workers := req.Workers
+	if workers <= 0 || workers > s.opt.Workers {
+		workers = s.opt.Workers
+	}
 	run := t.tr.Begin("sweep_run", -1)
 	out := t.ndjson("")
 	res, err := s.execSweep(ctx, fvcache.SweepRequest{
 		Artifacts: req.Artifacts,
 		Scale:     scale,
-		Workers:   req.Workers,
+		Workers:   workers,
 		Markdown:  req.Markdown,
 		OnArtifact: func(ar fvcache.ArtifactResult) {
 			out.line(api.SweepLine{Artifact: &ar})

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"fvcache"
@@ -102,5 +104,34 @@ func TestCellCacheScopedToSweep(t *testing.T) {
 	}
 	if r1 != r2 || m1 != m2 {
 		t.Errorf("second sweep replayed %d events in %d MRC passes, first %d in %d", r2, m2, r1, m1)
+	}
+}
+
+// TestSweepCheckpointKeyHasEngineVersion checks that an output
+// directory's checkpoint is keyed on the engine version, so after an
+// engine change a resumed sweep redoes the artifacts the old engine
+// wrote instead of keeping them.
+func TestSweepCheckpointKeyHasEngineVersion(t *testing.T) {
+	dir := t.TempDir()
+	res, err := fvcache.Sweep(context.Background(), fvcache.SweepRequest{
+		Artifacts: []string{"tab1"},
+		Scale:     fvcache.Test,
+		OutDir:    dir,
+	})
+	if err != nil || !res.OK() {
+		t.Fatalf("sweep: %v %+v", err, res)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Key string `json:"key"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.Key, fvcache.EngineVersion) {
+		t.Errorf("checkpoint key %q does not name engine %q", m.Key, fvcache.EngineVersion)
 	}
 }
