@@ -471,6 +471,37 @@ func BenchmarkRecordingReplay(b *testing.B) {
 	b.ReportMetric(float64(rec.Len()), "events")
 }
 
+// BenchmarkRecord measures one uncached recording of lzcomp, the
+// largest test-scale workload: the setup cost every cold process pays
+// per workload before its first measurement.
+func BenchmarkRecord(b *testing.B) {
+	w := getWL(b, "lzcomp")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec, err := sim.Record(w, benchScale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rec.Len()), "events")
+	}
+}
+
+// BenchmarkProfileTopAccessed measures one uncached frequent value
+// profile of lzcomp (the most distinct values at test scale) from its
+// cached recording: count the value column, keep the top 16.
+func BenchmarkProfileTopAccessed(b *testing.B) {
+	w := getWL(b, "lzcomp")
+	if _, err := sim.Recordings.Get(w, benchScale); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Profiles.Reset()
+		sim.Profiles.TopAccessed(w, benchScale, fvc.MaxValues(4))
+	}
+}
+
 func BenchmarkCacheTouchHit(b *testing.B) {
 	c := cache.New(dmc(16, 32))
 	c.Insert(0x1000, false)

@@ -399,7 +399,8 @@ func Characterize(ctx context.Context, req CharacterizeRequest) (*Characterizati
 		return nil, err
 	}
 	hist := trace.NewValueHistogram()
-	rec.Replay(hist)
+	_, _, vals := rec.AccessColumns()
+	hist.AddValues(vals)
 	c := &Characterization{
 		Workload:       w.Name(),
 		Scale:          req.Scale,

@@ -483,8 +483,8 @@ func (s *System) accessWithFVC(store bool, addr, value uint32) HitSource {
 	if p.TagMatch {
 		if !store && p.WordFrequent {
 			if s.cfg.VerifyValues {
-				if got := s.mem.LoadWord(addr); got != p.Value {
-					panic(&VerificationError{Where: "fvc-decode", Addr: addr, Want: got, Got: p.Value})
+				if got, dec := s.mem.LoadWord(addr), p.Value(); got != dec {
+					panic(&VerificationError{Where: "fvc-decode", Addr: addr, Want: got, Got: dec})
 				}
 			}
 			return FVCHit

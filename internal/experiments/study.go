@@ -41,14 +41,17 @@ func runStudy(w workload.Workload, scale workload.Scale) (*studyRun, error) {
 	// The occurrence sampler reads the memory image, which a live run
 	// got from Env.Mem; on replay a Replayer reconstructs it. It sits
 	// first in the sink chain so the sampler observes memory after each
-	// event took effect, exactly as it did live.
+	// event took effect, exactly as it did live. The histogram needs no
+	// memory, so it counts the access value column instead.
 	r := memsim.NewReplayer()
 	s := &studyRun{
 		hist: trace.NewValueHistogram(),
 		occ:  freqval.NewOccurrenceSampler(r.Mem, occInterval(scale)),
 	}
-	rec.Replay(trace.MultiSink(r, s.hist, s.occ))
+	rec.Replay(trace.MultiSink(r, s.occ))
 	s.occ.Finalize()
+	_, _, vals := rec.AccessColumns()
+	s.hist.AddValues(vals)
 	return s, nil
 }
 

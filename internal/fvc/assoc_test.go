@@ -70,7 +70,7 @@ func TestAssociativeInvalidateAndWriteMiss(t *testing.T) {
 	f := MustNew(Params{Entries: 8, LineBytes: 16, Bits: 3, Assoc: 4}, tbl)
 	f.InstallWriteMiss(0x100, 5)
 	p := f.Lookup(0x100)
-	if !p.WordFrequent || p.Value != 5 {
+	if !p.WordFrequent || p.Value() != 5 {
 		t.Fatalf("Lookup after write miss = %+v", p)
 	}
 	e := f.Invalidate(0x100)

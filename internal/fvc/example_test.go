@@ -33,7 +33,7 @@ func ExampleFVC_Lookup() {
 	cache.InstallFootprint(lineAddr, []uint32{0, 999, 2, 1})
 
 	p := cache.Lookup(0x1008) // word 2 of the line
-	fmt.Println(p.TagMatch, p.WordFrequent, p.Value)
+	fmt.Println(p.TagMatch, p.WordFrequent, p.Value())
 	p = cache.Lookup(0x1004) // word 1: infrequent
 	fmt.Println(p.TagMatch, p.WordFrequent)
 	// Output:

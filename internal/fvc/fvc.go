@@ -229,9 +229,20 @@ type Probe struct {
 	// code names a frequent value. TagMatch && WordFrequent is a read
 	// hit.
 	WordFrequent bool
-	// Value is the decoded frequent value; meaningful only when
-	// WordFrequent is true.
-	Value uint32
+
+	code  uint8
+	table *Table
+}
+
+// Value decodes the frequent value the accessed word holds; meaningful
+// only when WordFrequent is true. Lookup leaves the decode to Value so
+// that the simulator's hot path, which needs only the two flags, skips
+// it.
+func (p Probe) Value() uint32 {
+	if !p.WordFrequent {
+		return 0
+	}
+	return p.table.Decode(p.code)
 }
 
 // Lookup probes the FVC for addr without modifying state.
@@ -244,7 +255,7 @@ func (f *FVC) Lookup(addr uint32) Probe {
 	if code == f.escape {
 		return Probe{TagMatch: true}
 	}
-	return Probe{TagMatch: true, WordFrequent: true, Value: f.table.Decode(code)}
+	return Probe{TagMatch: true, WordFrequent: true, code: code, table: f.table}
 }
 
 // WriteWord attempts a write hit: if the entry holds addr's line and v

@@ -201,8 +201,8 @@ func TestFVCInstallFootprintAndLookup(t *testing.T) {
 		if p.WordFrequent != c.frequent {
 			t.Errorf("Lookup(%#x).WordFrequent = %v, want %v", c.addr, p.WordFrequent, c.frequent)
 		}
-		if c.frequent && p.Value != c.value {
-			t.Errorf("Lookup(%#x).Value = %#x, want %#x", c.addr, p.Value, c.value)
+		if c.frequent && p.Value() != c.value {
+			t.Errorf("Lookup(%#x).Value = %#x, want %#x", c.addr, p.Value(), c.value)
 		}
 	}
 	if f.ValidEntries() != 1 {
@@ -240,7 +240,7 @@ func TestFVCWriteWordHit(t *testing.T) {
 		t.Fatal("write of frequent value with tag match must hit")
 	}
 	p := f.Lookup(0x1004)
-	if !p.WordFrequent || p.Value != 4 {
+	if !p.WordFrequent || p.Value() != 4 {
 		t.Errorf("after write, Lookup = %+v, want value 4", p)
 	}
 	e := f.Invalidate(0x1000)
@@ -262,7 +262,7 @@ func TestFVCWriteWordMissCases(t *testing.T) {
 		t.Error("write of infrequent value must miss")
 	}
 	p := f.Lookup(0x1004)
-	if !p.WordFrequent || p.Value != 0 {
+	if !p.WordFrequent || p.Value() != 0 {
 		t.Errorf("failed write must not change codes: %+v", p)
 	}
 }
@@ -274,7 +274,7 @@ func TestFVCInstallWriteMiss(t *testing.T) {
 		t.Errorf("displaced %+v from empty slot", prev)
 	}
 	p := f.Lookup(0x1008)
-	if !p.WordFrequent || p.Value != 2 {
+	if !p.WordFrequent || p.Value() != 2 {
 		t.Errorf("Lookup after write-miss install = %+v", p)
 	}
 	// All other words must be escaped.
@@ -345,7 +345,7 @@ func TestFVCSnapshotIsolation(t *testing.T) {
 	e := f.Invalidate(0x1000)
 	e.Codes[0] = 9 // mutating the snapshot must not touch the cache
 	f.InstallFootprint(la, []uint32{1, 1, 1, 1})
-	if p := f.Lookup(0x1000); !p.WordFrequent || p.Value != 1 {
+	if p := f.Lookup(0x1000); !p.WordFrequent || p.Value() != 1 {
 		t.Errorf("snapshot mutation leaked into cache: %+v", p)
 	}
 }
@@ -403,7 +403,7 @@ func TestFVCFootprintProperty(t *testing.T) {
 			if tbl.Contains(v) != p.WordFrequent {
 				return false
 			}
-			if p.WordFrequent && p.Value != v {
+			if p.WordFrequent && p.Value() != v {
 				return false
 			}
 		}

@@ -68,13 +68,15 @@ func (c *ProfileCache) Reset() {
 var Profiles ProfileCache
 
 // profileTopAccessed performs the uncached profile pass: the value
-// histogram is derived by replaying the shared recording of w, so a
-// profile pass followed by measurement runs executes the workload only
-// once. If recording fails the profile falls back to a live run.
+// histogram counts the access value column of the shared recording of
+// w, so a profile pass followed by measurement runs executes the
+// workload only once. If recording fails the profile falls back to a
+// live run.
 func profileTopAccessed(w workload.Workload, scale workload.Scale, k int) []uint32 {
 	h := trace.NewValueHistogram()
 	if rec, err := Recordings.Get(w, scale); err == nil {
-		rec.Replay(h)
+		_, _, vals := rec.AccessColumns()
+		h.AddValues(vals)
 	} else {
 		env := memsim.NewEnv(h)
 		w.Run(env, scale)

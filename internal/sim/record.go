@@ -28,6 +28,7 @@ func Record(w workload.Workload, scale workload.Scale) (*trace.Recording, error)
 	if rerr := harness.Recover(func() error { w.Run(env, scale); return nil }); rerr != nil {
 		return nil, fmt.Errorf("sim: recording aborted: %w", rerr)
 	}
+	rec.Finish()
 	obs.RecordedEvents.Add(uint64(rec.Len()))
 	if d := time.Since(start); d > 0 {
 		obs.Default.Gauge(obs.Labeled("record_events_per_sec", "workload", w.Name())).

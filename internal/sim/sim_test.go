@@ -3,11 +3,14 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"fvcache/internal/cache"
 	"fvcache/internal/core"
+	"fvcache/internal/freqval"
 	"fvcache/internal/fvc"
+	"fvcache/internal/trace"
 	"fvcache/internal/workload"
 )
 
@@ -34,6 +37,48 @@ func TestProfileTopAccessed(t *testing.T) {
 	for _, want := range []uint32{0, 1, 2} {
 		if !found[want] {
 			t.Errorf("top values %v missing %d", vals, want)
+		}
+	}
+}
+
+// TestProfileFromValueColumn: for every workload, the profile counted
+// from the access value column equals the top values of a histogram
+// fed by replaying every event through the Sink interface, which
+// skips non-access events itself. Some workloads must carry
+// non-access events, or the filter goes untested.
+func TestProfileFromValueColumn(t *testing.T) {
+	mixed := 0
+	for _, w := range workload.All() {
+		rec, err := Recordings.Get(w, workload.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(rec.Len()) != rec.Accesses() {
+			mixed++
+		}
+		h := trace.NewValueHistogram()
+		rec.Replay(h)
+		want := freqval.TopAccessed(h, profileTop)
+		if got := profileTopAccessed(w, workload.Test, profileTop); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: column-counted top %d = %v, replayed = %v", w.Name(), profileTop, got, want)
+		}
+	}
+	if mixed == 0 {
+		t.Error("no workload records a non-access event")
+	}
+}
+
+// TestRecordExactColumns: a finished recording keeps no spare column
+// capacity, since every recording lives as long as the process.
+func TestRecordExactColumns(t *testing.T) {
+	for _, name := range []string{"lzcomp", "ccomp", "objdb"} {
+		rec, err := Record(wl(t, name), workload.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, addrs, vals := rec.Columns()
+		if n := rec.Len(); cap(ops) != n || cap(addrs) != n || cap(vals) != n {
+			t.Errorf("%s: %d events, column caps %d/%d/%d", name, n, cap(ops), cap(addrs), cap(vals))
 		}
 	}
 }

@@ -51,12 +51,48 @@ func (r *Recording) Emit(e Event) { r.Append(e.Op, e.Addr, e.Value) }
 
 // Append records one event without constructing an Event value.
 func (r *Recording) Append(op Op, addr, value uint32) {
+	if len(r.ops) == cap(r.ops) {
+		r.grow()
+	}
 	r.ops = append(r.ops, op)
 	r.addrs = append(r.addrs, addr)
 	r.vals = append(r.vals, value)
 	if op.IsAccess() {
 		r.accesses++
 	}
+}
+
+// minRecordingCap is the first column capacity grow allocates.
+const minRecordingCap = 1 << 12
+
+// grow doubles the three columns' shared capacity. append's own step
+// for large slices is about 1.25x, which copies about four times the
+// bytes a recording keeps; doubling copies about one.
+func (r *Recording) grow() {
+	n := max(minRecordingCap, 2*cap(r.ops))
+	r.ops = append(make([]Op, 0, n), r.ops...)
+	r.addrs = append(make([]uint32, 0, n), r.addrs...)
+	r.vals = append(make([]uint32, 0, n), r.vals...)
+}
+
+// Finish trims the columns to their exact length, releasing the spare
+// capacity doubling left behind, so a recording kept for the life of
+// the process holds no slack. Call it once recording is done; Record
+// in package sim and ReadRecording do. Appending after Finish is
+// allowed but regrows the columns.
+func (r *Recording) Finish() {
+	r.ops = trim(r.ops)
+	r.addrs = trim(r.addrs)
+	r.vals = trim(r.vals)
+}
+
+// trim returns s, or an exact-size copy of it when it has spare
+// capacity.
+func trim[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // Len returns the number of recorded events.
@@ -186,6 +222,7 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 		e, err := tr.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
+				r.Finish()
 				return r, nil
 			}
 			return nil, err

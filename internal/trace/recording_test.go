@@ -103,6 +103,35 @@ func TestRecordingSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRecordingExactColumns: a loaded recording keeps no spare
+// column capacity, at sizes below, at and past a growth step.
+func TestReadRecordingExactColumns(t *testing.T) {
+	for _, n := range []int{0, 1, minRecordingCap, minRecordingCap + 1, 3*minRecordingCap + 5} {
+		rec := NewRecording()
+		for i := 0; i < n; i++ {
+			rec.Append(Op(i%2), uint32(i)*WordBytes, uint32(i))
+		}
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadRecording(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, addrs, vals := got.Columns()
+		if len(ops) != n || cap(ops) != n || cap(addrs) != n || cap(vals) != n {
+			t.Errorf("%d events: len %d, caps %d/%d/%d, want all %d",
+				n, len(ops), cap(ops), cap(addrs), cap(vals), n)
+		}
+		for i := 0; i < n; i++ {
+			if got.At(i) != rec.At(i) {
+				t.Fatalf("%d events: event %d = %v, want %v", n, i, got.At(i), rec.At(i))
+			}
+		}
+	}
+}
+
 func TestReadRecordingCorrupt(t *testing.T) {
 	rec := NewRecording()
 	for _, e := range sampleEvents() {

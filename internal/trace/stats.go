@@ -87,6 +87,16 @@ func (h *ValueHistogram) Emit(e Event) {
 	h.total++
 }
 
+// AddValues counts every value of vals as one access: the values
+// column of a recording's access projection (Recording.AccessColumns)
+// counts exactly as replaying the recording through Emit would.
+func (h *ValueHistogram) AddValues(vals []uint32) {
+	for _, v := range vals {
+		h.counts.Add(v)
+	}
+	h.total += uint64(len(vals))
+}
+
 // Total returns the number of accesses recorded.
 func (h *ValueHistogram) Total() uint64 { return h.total }
 
@@ -185,23 +195,52 @@ type ValueCount struct {
 	Count uint64
 }
 
+// maxSelectK is the largest k TopK selects by insertion; a larger k
+// sorts every value.
+const maxSelectK = 64
+
 // TopK returns the k most frequent values in decreasing order of
-// count, breaking ties by smaller value for determinism.
+// count, breaking ties by smaller value for determinism. Values are
+// distinct, so that order is total and the result is the first k of
+// the fully sorted histogram. Up to maxSelectK it keeps a sorted run
+// of the best k seen, which most values leave after one comparison,
+// so a profile's top 16 of 10^5 values costs one pass, not a sort.
 func (h *ValueHistogram) TopK(k int) []ValueCount {
-	all := make([]ValueCount, 0, h.counts.Len())
-	h.counts.Each(func(v uint32, c uint64) {
-		all = append(all, ValueCount{Value: v, Count: c})
-	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Value < all[j].Value
-	})
-	if k > len(all) {
-		k = len(all)
+	c := &h.counts
+	k = min(max(k, 0), c.n)
+	if k > maxSelectK {
+		all := make([]ValueCount, 0, c.n)
+		c.Each(func(v uint32, n uint64) { all = append(all, ValueCount{Value: v, Count: n}) })
+		sort.Slice(all, func(i, j int) bool { return before(all[i], all[j]) })
+		return all[:k]
 	}
-	return all[:k]
+	top := make([]ValueCount, 0, k)
+	if k == 0 {
+		return top
+	}
+	for i, n := range c.counts {
+		vc := ValueCount{Value: c.keys[i], Count: n}
+		if n == 0 || len(top) == k && !before(vc, top[k-1]) {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, vc)
+		} else {
+			top[k-1] = vc
+		}
+		for j := len(top) - 1; j > 0 && before(top[j], top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	return top
+}
+
+// before reports whether a ranks ahead of b in TopK's order.
+func before(a, b ValueCount) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
+	}
+	return a.Value < b.Value
 }
 
 // CoverageOfTopK returns the fraction of all accesses covered by the

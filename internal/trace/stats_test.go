@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -105,5 +109,56 @@ func TestValueHistogramTieBreak(t *testing.T) {
 	top := h.TopK(3)
 	if top[0].Value != 3 || top[1].Value != 5 || top[2].Value != 9 {
 		t.Errorf("ties must break by smaller value: %v", top)
+	}
+}
+
+// TestTopKMatchesFullSort pins TopK's selection to the full sort it
+// replaces, on random histograms whose counts tie heavily, for every k
+// from 0 to two past the distinct count: the selection path and, for
+// the larger histograms, the sort above maxSelectK.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, distinct := range []int{0, 1, 5, 17, 64, 65, 300} {
+		h := NewValueHistogram()
+		vals := make([]uint32, 0, 4*distinct)
+		for i := 0; i < distinct; i++ {
+			// Few counts over many values: most values tie with others.
+			v := rng.Uint32()
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				vals = append(vals, v)
+			}
+		}
+		rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		h.AddValues(vals)
+
+		var all []ValueCount
+		h.counts.Each(func(v uint32, n uint64) { all = append(all, ValueCount{Value: v, Count: n}) })
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Count != all[j].Count {
+				return all[i].Count > all[j].Count
+			}
+			return all[i].Value < all[j].Value
+		})
+		for k := 0; k <= h.Distinct()+2; k++ {
+			want := all[:min(k, len(all))]
+			if got := h.TopK(k); !slices.Equal(got, want) {
+				t.Fatalf("distinct=%d: TopK(%d) = %v, want %v", h.Distinct(), k, got, want)
+			}
+		}
+	}
+}
+
+// TestAddValuesMatchesEmit: counting a value column equals emitting
+// each value as an access.
+func TestAddValuesMatchesEmit(t *testing.T) {
+	vals := []uint32{3, 0, 0, 7, 3, 0, 0xffffffff}
+	col, emitted := NewValueHistogram(), NewValueHistogram()
+	col.AddValues(vals)
+	for _, v := range vals {
+		emitted.Emit(Event{Op: Load, Value: v})
+	}
+	if col.Total() != emitted.Total() || !reflect.DeepEqual(col.TopK(10), emitted.TopK(10)) {
+		t.Fatalf("AddValues: total %d top %v, Emit: total %d top %v",
+			col.Total(), col.TopK(10), emitted.Total(), emitted.TopK(10))
 	}
 }
