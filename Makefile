@@ -2,6 +2,16 @@ GO ?= go
 
 .PHONY: all build test check fuzz vet fmt bench bench-serve lint-examples
 
+# FUZZ lists every fuzz target as package:Target. check runs each for
+# 5s and fuzz for 60s. Each new input is minimized for at most 100
+# executions: the golden-model fuzzer's inputs are a few hundred bytes,
+# and the default (up to 60s per input) would spend a 5s run
+# minimizing.
+FUZZ = ./internal/trace:FuzzReader ./internal/trace:FuzzColumnCodec \
+	./internal/resultcache:FuzzResultEntry ./api:FuzzConfigFingerprint \
+	./internal/serve:FuzzMeasureRequest ./internal/serve:FuzzMRCRequest \
+	./internal/serve:FuzzSweepRequest ./internal/core:FuzzHierarchyMatchesGolden
+
 all: build
 
 build:
@@ -39,14 +49,17 @@ lint-examples:
 # (boot fvcached, measure over HTTP, SIGKILL it over a durable cache,
 # restart, prove quarantine + bit-identical recompute). After it come
 # the obsoff test runs of the telemetry, serving, engine and public
-# api/client packages plus the engine golden digest, short fuzz smokes
-# over the hardened trace reader, the columnar chunk codec, the
-# result-cache entry codec, the config fingerprint (the key every
-# cache and coalescing path trusts) and the /v1/measure, /v1/mrc and
+# api/client packages plus the engine golden digest, 5s fuzz smokes of
+# every FUZZ target: the hardened trace reader, the columnar chunk
+# codec, the result-cache entry codec, the config fingerprint (the key
+# every cache and coalescing path trusts), the /v1/measure, /v1/mrc and
 # /v1/sweep request decoders (no panic, every refusal an error
 # envelope, every 200 well-formed, no 200 for a body with an unknown
 # top-level field or data after its JSON value, and no sweep given
-# more workers than the server's pool), a single-iteration pass over every
+# more workers than the server's pool) and the hierarchy against its
+# golden models (per-access hit sources of a solo System, and hit
+# tallies and Stats of the same configs as SystemSet lanes), a
+# single-iteration pass over every
 # benchmark so the benchmark corpus cannot rot, and the -verify passes
 # over the committed artifacts: benchsweep checks BENCH_sweep.json
 # (every speedup layer holds its threshold — including the analytic
@@ -62,13 +75,9 @@ check: vet lint-examples build
 	$(GO) test -race ./...
 	$(GO) test -tags obsoff ./internal/obs ./internal/obs/reqtrace ./internal/serve ./internal/sim ./internal/core ./internal/mrc ./api ./client
 	$(GO) test -tags obsoff -run TestEngineGolden .
-	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=5s
-	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=5s
-	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=5s
-	$(GO) test ./api -run='^$$' -fuzz=FuzzConfigFingerprint -fuzztime=5s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMeasureRequest -fuzztime=5s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMRCRequest -fuzztime=5s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSweepRequest -fuzztime=5s
+	for t in $(FUZZ); do \
+		$(GO) test $${t%:*} -run='^$$' -fuzz="^$${t#*:}\$$" -fuzztime=5s -fuzzminimizetime=100x || exit 1; \
+	done
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchsweep -verify BENCH_sweep.json
 	$(GO) run ./cmd/serveload -verify BENCH_serve.json
@@ -89,13 +98,9 @@ bench-serve:
 	$(GO) run ./cmd/serveload -o BENCH_serve.json
 
 fuzz:
-	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=60s
-	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=60s
-	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=60s
-	$(GO) test ./api -run='^$$' -fuzz=FuzzConfigFingerprint -fuzztime=60s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMeasureRequest -fuzztime=60s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzMRCRequest -fuzztime=60s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzSweepRequest -fuzztime=60s
+	for t in $(FUZZ); do \
+		$(GO) test $${t%:*} -run='^$$' -fuzz="^$${t#*:}\$$" -fuzztime=60s -fuzzminimizetime=100x || exit 1; \
+	done
 
 fmt:
 	gofmt -w .

@@ -59,16 +59,16 @@ func BenchmarkOnlineFVT(b *testing.B) {
 	var updates uint64
 	for i := 0; i < b.N; i++ {
 		profiled = measure(b, w, fvcCfg(w, b, dmc(16, 32), 512, 3)).MissRate() * 100
-		res, err := sim.Measure(w, benchScale, core.Config{
+		st, err := sim.Measure(w, benchScale, core.Config{
 			Main:           dmc(16, 32),
 			FVC:            &fvc.Params{Entries: 512, LineBytes: 32, Bits: 3},
 			OnlineFVTEvery: 50_000,
-		}, sim.MeasureOptions{})
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		online = res.Stats.MissRate() * 100
-		updates = res.Stats.FVTUpdates
+		online = st.MissRate() * 100
+		updates = st.FVTUpdates
 	}
 	b.ReportMetric(profiled, "profMiss%")
 	b.ReportMetric(online, "onlineMiss%")

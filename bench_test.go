@@ -47,7 +47,7 @@ func topValues(b *testing.B, w workload.Workload, k int) []uint32 {
 	defer profMu.Unlock()
 	vals, ok := profMemo[w.Name()]
 	if !ok {
-		vals = sim.ProfileTopAccessed(w, benchScale, 10)
+		vals = sim.Profiles.TopAccessed(w, benchScale, 10)
 		profMemo[w.Name()] = vals
 	}
 	if k > len(vals) {
@@ -58,11 +58,11 @@ func topValues(b *testing.B, w workload.Workload, k int) []uint32 {
 
 func measure(b *testing.B, w workload.Workload, cfg core.Config) core.Stats {
 	b.Helper()
-	res, err := sim.Measure(w, benchScale, cfg, sim.MeasureOptions{})
+	st, err := sim.Measure(w, benchScale, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Stats
+	return st
 }
 
 func dmc(kb, line int) cache.Params {
@@ -140,13 +140,18 @@ func BenchmarkFig4MissAttribution(b *testing.B) {
 	w := getWL(b, "cpusim")
 	cfg := core.Config{Main: dmc(16, 16)}
 	vals := topValues(b, w, 10)
+	rec, err := sim.Recordings.Get(w, benchScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		total, attr, err := sim.MissAttribution(w, benchScale, cfg, vals)
+		total, attr, err := sim.MissAttributionSets(rec, cfg, [][]uint32{vals})
 		if err != nil {
 			b.Fatal(err)
 		}
-		frac = float64(attr) / float64(total)
+		frac = float64(attr[0]) / float64(total)
 	}
 	b.ReportMetric(frac*100, "attrib%")
 }
@@ -175,7 +180,7 @@ func BenchmarkTable1TopValues(b *testing.B) {
 	w := getWL(b, "strproc")
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = len(sim.ProfileTopAccessed(w, benchScale, 10))
+		n = len(sim.Profiles.TopAccessed(w, benchScale, 10))
 	}
 	b.ReportMetric(float64(n), "values")
 }
@@ -185,8 +190,8 @@ func BenchmarkTable2InputSensitivity(b *testing.B) {
 	w := getWL(b, "goboard")
 	var overlap int
 	for i := 0; i < b.N; i++ {
-		test := sim.ProfileTopAccessed(w, workload.Test, 10)
-		train := sim.ProfileTopAccessed(w, workload.Train, 10)
+		test := sim.Profiles.TopAccessed(w, workload.Test, 10)
+		train := sim.Profiles.TopAccessed(w, workload.Train, 10)
 		overlap = freqval.Overlap(test, train, 10)
 	}
 	b.ReportMetric(float64(overlap), "overlap10")
@@ -258,9 +263,14 @@ func BenchmarkFig10FVCSizeSweep(b *testing.B) {
 func BenchmarkFig11CompressionContent(b *testing.B) {
 	w := getWL(b, "cpusim")
 	cfg := fvcCfg(w, b, dmc(16, 32), 512, 3)
+	rec, err := sim.Recordings.Get(w, benchScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Measure(w, benchScale, cfg, sim.MeasureOptions{SampleEvery: 20_000})
+		res, err := sim.MeasureRecorded(rec, cfg, sim.MeasureOptions{SampleEvery: 20_000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,7 +364,7 @@ func BenchmarkSweepLive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
-			if _, err := sim.Measure(w, benchScale, cfg, sim.MeasureOptions{}); err != nil {
+			if _, err := sim.Measure(w, benchScale, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

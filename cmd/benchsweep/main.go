@@ -148,13 +148,13 @@ func run(ctx context.Context, out string) error {
 	if err != nil {
 		return err
 	}
-	values := sim.ProfileTopAccessed(w, scale, 7)
+	values := sim.Profiles.TopAccessed(w, scale, 7)
 	cfgs := sweepGrid(values)
 
 	liveBench := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range cfgs {
-				if _, err := sim.Measure(w, scale, cfg, sim.MeasureOptions{}); err != nil {
+				if _, err := sim.Measure(w, scale, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

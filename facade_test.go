@@ -7,6 +7,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -31,11 +34,11 @@ func TestFacadeMeasureMatchesInternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Measure(w, workload.Test, baseConfig(), sim.MeasureOptions{})
+	want, err := sim.Measure(w, workload.Test, baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if got != (fvcache.MeasureResult{Stats: want}) {
 		t.Errorf("facade Measure diverged from sim.Measure:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -107,6 +110,41 @@ func TestFacadeBadRequests(t *testing.T) {
 	}
 	if _, err := fvcache.Sweep(ctx, fvcache.SweepRequest{Artifacts: []string{"fig999"}, Scale: fvcache.Test}); err == nil {
 		t.Error("unknown artifact accepted")
+	}
+}
+
+// panickingWorkload blows up partway through its run.
+type panickingWorkload struct{}
+
+func (panickingWorkload) Name() string        { return "panicking" }
+func (panickingWorkload) Analogue() string    { return "none" }
+func (panickingWorkload) Description() string { return "panics mid-run (tests only)" }
+func (panickingWorkload) FVL() bool           { return false }
+func (panickingWorkload) Run(env *fvcache.Env, _ fvcache.Scale) {
+	env.Store(env.Alloc(4), 1)
+	panic("workload blew up")
+}
+
+// TestFacadeProfileWorkloadPanic: Profile of a workload whose run
+// panics returns the recording's error and does not panic its caller.
+// Registering the workload would add it to the registry the other
+// tests of this binary walk, so unless the test binary runs this test
+// alone it re-runs itself alone in a child process.
+func TestFacadeProfileWorkloadPanic(t *testing.T) {
+	const alone = "^TestFacadeProfileWorkloadPanic$"
+	if flag.Lookup("test.run").Value.String() != alone {
+		out, err := exec.Command(os.Args[0], "-test.run="+alone, "-test.v").CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestFacadeProfileWorkloadPanic")) {
+			t.Fatalf("run alone: %v\n%s", err, out)
+		}
+		return
+	}
+	if _, err := fvcache.LookupWorkload("panicking"); err != nil {
+		fvcache.RegisterWorkload(panickingWorkload{})
+	}
+	vals, err := fvcache.Profile(context.Background(), fvcache.ProfileRequest{Workload: "panicking", Scale: fvcache.Test, K: 7})
+	if err == nil || !strings.Contains(err.Error(), "workload blew up") {
+		t.Errorf("Profile = %v, %v; want the workload's panic as an error", vals, err)
 	}
 }
 

@@ -256,7 +256,10 @@ func Profile(ctx context.Context, req ProfileRequest) ([]uint32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return sim.ProfileTopAccessed(w, req.Scale, req.K), nil
+	if _, err := sim.Recordings.Get(w, req.Scale); err != nil {
+		return nil, err
+	}
+	return sim.Profiles.TopAccessed(w, req.Scale, req.K), nil
 }
 
 // MRCResult is the output of one Mattson reuse-distance pass: exact

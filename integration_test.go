@@ -32,7 +32,7 @@ func TestTraceReplayMatchesDirectDrive(t *testing.T) {
 	cfg := core.Config{
 		Main:           cache.Params{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 1},
 		FVC:            &fvc.Params{Entries: 128, LineBytes: 32, Bits: 3},
-		FrequentValues: sim.ProfileTopAccessed(w, workload.Test, 7),
+		FrequentValues: sim.Profiles.TopAccessed(w, workload.Test, 7),
 	}
 
 	// Live drive.
@@ -87,16 +87,16 @@ func TestAllWorkloadsThroughVerifiedFVC(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			vals := sim.ProfileTopAccessed(w, workload.Test, 7)
-			res, err := sim.Measure(w, workload.Test, core.Config{
+			vals := sim.Profiles.TopAccessed(w, workload.Test, 7)
+			st, err := sim.Measure(w, workload.Test, core.Config{
 				Main:           cache.Params{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1},
 				FVC:            &fvc.Params{Entries: 256, LineBytes: 32, Bits: 3},
 				FrequentValues: vals,
-			}, sim.MeasureOptions{VerifyValues: true})
+				VerifyValues:   true,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := res.Stats
 			if st.Hits()+st.Misses != st.Accesses() {
 				t.Errorf("stats inconsistent: %+v", st)
 			}
@@ -113,14 +113,13 @@ func TestAllWorkloadsVictimCache(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			res, err := sim.Measure(w, workload.Test, core.Config{
+			st, err := sim.Measure(w, workload.Test, core.Config{
 				Main:          cache.Params{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 1},
 				VictimEntries: 8,
-			}, sim.MeasureOptions{})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := res.Stats
 			if st.Hits()+st.Misses != st.Accesses() {
 				t.Errorf("stats inconsistent: %+v", st)
 			}
@@ -136,21 +135,21 @@ func TestFVCNeverWorseAcrossSuite(t *testing.T) {
 	for _, w := range workload.FVLSuite() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			base, err := sim.Measure(w, workload.Test, core.Config{Main: main}, sim.MeasureOptions{})
+			base, err := sim.Measure(w, workload.Test, core.Config{Main: main})
 			if err != nil {
 				t.Fatal(err)
 			}
 			aug, err := sim.Measure(w, workload.Test, core.Config{
 				Main:                main,
 				FVC:                 &fvc.Params{Entries: 256, LineBytes: 32, Bits: 3},
-				FrequentValues:      sim.ProfileTopAccessed(w, workload.Test, 7),
+				FrequentValues:      sim.Profiles.TopAccessed(w, workload.Test, 7),
 				NoWriteMissAllocate: true,
-			}, sim.MeasureOptions{})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if aug.Stats.Misses > base.Stats.Misses {
-				t.Errorf("FVC increased misses: %d > %d", aug.Stats.Misses, base.Stats.Misses)
+			if aug.Misses > base.Misses {
+				t.Errorf("FVC increased misses: %d > %d", aug.Misses, base.Misses)
 			}
 		})
 	}
@@ -188,13 +187,13 @@ func TestScaledMissRatesOrdering(t *testing.T) {
 		t.Run(w.Name(), func(t *testing.T) {
 			var prev float64 = 2.0 // above any possible rate
 			for _, kb := range []int{4, 16, 64} {
-				res, err := sim.Measure(w, workload.Test, core.Config{
+				st, err := sim.Measure(w, workload.Test, core.Config{
 					Main: cache.Params{SizeBytes: kb << 10, LineBytes: 32, Assoc: 1},
-				}, sim.MeasureOptions{})
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rate := res.Stats.MissRate()
+				rate := st.MissRate()
 				// Allow tiny non-monotonicity (set-index effects).
 				if rate > prev*1.05+0.001 {
 					t.Errorf("%dKB miss rate %.4f exceeds smaller cache's %.4f", kb, rate, prev)

@@ -147,6 +147,14 @@ func (g *goldenModel) access(store bool, addr, value uint32) HitSource {
 	return Miss
 }
 
+// goldenFreq holds the frequent values of the differential tests: a
+// code width's table is its first fvc.MaxValues(bits) entries.
+// goldenPool adds values no table holds.
+var (
+	goldenFreq = []uint32{0, 1, 2, 4, 8, 10, 0xffffffff, 3, 5, 6, 7, 9, 11, 12, 13}
+	goldenPool = append(append([]uint32(nil), goldenFreq...), 0xdeadbeef, 99, 77777, 1<<20)
+)
+
 // TestGoldenModelDifferential drives the golden model and a System
 // through one random op stream per configuration and compares every
 // access's HitSource: line sizes 8–64 B, code widths 1–4 (1 to 15
@@ -156,10 +164,6 @@ func TestGoldenModelDifferential(t *testing.T) {
 		mainBytes = 512
 		fvcSlots  = 8
 	)
-	// The first 2^bits-1 of these are a width's frequent values; the
-	// pool adds values no table holds.
-	freqAll := []uint32{0, 1, 2, 4, 8, 10, 0xffffffff, 3, 5, 6, 7, 9, 11, 12, 13}
-	pool := append(append([]uint32(nil), freqAll...), 0xdeadbeef, 99, 77777, 1<<20)
 	type variant struct {
 		name               string
 		noAlloc, skipEmpty bool
@@ -171,7 +175,7 @@ func TestGoldenModelDifferential(t *testing.T) {
 				for bits := 1; bits <= 4; bits++ {
 					lineBytes, bits := lineBytes, bits
 					t.Run(fmt.Sprintf("%dB/%db", lineBytes, bits), func(t *testing.T) {
-						freq := freqAll[:fvc.MaxValues(bits)]
+						freq := goldenFreq[:fvc.MaxValues(bits)]
 						sys := MustNew(Config{
 							Main:                cache.Params{SizeBytes: mainBytes, LineBytes: lineBytes, Assoc: 1},
 							FVC:                 &fvc.Params{Entries: fvcSlots, LineBytes: lineBytes, Bits: bits},
@@ -196,7 +200,7 @@ func TestGoldenModelDifferential(t *testing.T) {
 								if rng.Intn(2) == 0 {
 									v = freq[rng.Intn(len(freq))]
 								} else {
-									v = pool[rng.Intn(len(pool))]
+									v = goldenPool[rng.Intn(len(goldenPool))]
 								}
 								op = trace.Store
 								replica[addr] = v

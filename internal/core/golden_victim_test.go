@@ -62,7 +62,8 @@ func (g *goldenVC) evictToVC(s uint32) {
 	}
 }
 
-func (g *goldenVC) access(store bool, addr uint32) HitSource {
+// access ignores value: the victim-cache protocol never reads one.
+func (g *goldenVC) access(store bool, addr, _ uint32) HitSource {
 	la := g.lineAddr(addr)
 	s := g.setIdx(la)
 	if ln, ok := g.main[s]; ok && ln.tag == la {
@@ -101,49 +102,57 @@ func TestGoldenVictimDifferential(t *testing.T) {
 			op = trace.Store
 		}
 		got := sys.Access(op, addr, 0)
-		want := golden.access(op == trace.Store, addr)
+		want := golden.access(op == trace.Store, addr, 0)
 		if got != want {
 			t.Fatalf("access %d (%v %#x): system=%v golden=%v", i, op, addr, got, want)
 		}
 	}
 }
 
-// The set-associative main cache against a straightforward per-set
-// LRU-list reference.
+// goldenLRU is a per-set LRU-list reference for a plain main cache.
+// The cache allocates on every miss, so loads and stores alike either
+// hit or fill.
+type goldenLRU struct {
+	lineBytes uint32
+	assoc     int
+	sets      [][]uint32 // per set, line addresses in MRU order
+}
+
+func newGoldenLRU(p cache.Params) *goldenLRU {
+	return &goldenLRU{lineBytes: uint32(p.LineBytes), assoc: p.Assoc, sets: make([][]uint32, p.NumSets())}
+}
+
+func (g *goldenLRU) access(_ bool, addr, _ uint32) HitSource {
+	la := addr / g.lineBytes
+	si := la % uint32(len(g.sets))
+	src := Miss
+	for j, tag := range g.sets[si] {
+		if tag == la {
+			src = MainHit
+			g.sets[si] = append(g.sets[si][:j], g.sets[si][j+1:]...)
+			break
+		}
+	}
+	g.sets[si] = append([]uint32{la}, g.sets[si]...)
+	if len(g.sets[si]) > g.assoc {
+		g.sets[si] = g.sets[si][:g.assoc]
+	}
+	return src
+}
+
+// The set-associative main cache against the per-set LRU-list
+// reference.
 func TestGoldenSetAssocDifferential(t *testing.T) {
-	const (
-		sizeBytes = 1024
-		lineBytes = 16
-		assoc     = 4
-	)
-	sys := MustNew(Config{
-		Main: cache.Params{SizeBytes: sizeBytes, LineBytes: lineBytes, Assoc: assoc},
-	})
-	numSets := sizeBytes / lineBytes / assoc
-	sets := make([][]uint32, numSets) // MRU-ordered tags
+	p := cache.Params{SizeBytes: 1024, LineBytes: 16, Assoc: 4}
+	sys := MustNew(Config{Main: p})
+	golden := newGoldenLRU(p)
 
 	rng := rand.New(rand.NewSource(88))
 	for i := 0; i < 150_000; i++ {
 		addr := uint32(rng.Intn(1024)) * 4
-		la := addr / lineBytes
-		si := la % uint32(numSets)
-
-		wantHit := false
-		for j, tag := range sets[si] {
-			if tag == la {
-				wantHit = true
-				sets[si] = append(sets[si][:j], sets[si][j+1:]...)
-				break
-			}
-		}
-		sets[si] = append([]uint32{la}, sets[si]...)
-		if len(sets[si]) > assoc {
-			sets[si] = sets[si][:assoc]
-		}
-
 		got := sys.Access(trace.Load, addr, 0)
-		if (got == MainHit) != wantHit {
-			t.Fatalf("access %d (%#x): system=%v reference hit=%v", i, addr, got, wantHit)
+		if want := golden.access(false, addr, 0); got != want {
+			t.Fatalf("access %d (%#x): system=%v reference=%v", i, addr, got, want)
 		}
 	}
 }

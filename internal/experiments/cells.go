@@ -58,7 +58,7 @@ func (c cell) config(w workload.Workload) core.Config {
 	if c.fvc != (fvc.Params{}) {
 		p := c.fvc
 		cfg.FVC = &p
-		cfg.FrequentValues = topAccessed(w, c.scale, fvc.MaxValues(p.Bits))
+		cfg.FrequentValues = sim.Profiles.TopAccessed(w, c.scale, fvc.MaxValues(p.Bits))
 	}
 	return cfg
 }
@@ -210,27 +210,6 @@ func (j cellJob) run(ctx context.Context) ([]float64, error) {
 	out := make([]float64, len(j.cells))
 	for i, r := range res {
 		out[i] = r.Stats.MissRate() * 100
-	}
-	return out, nil
-}
-
-// dmcMissPcts computes plain direct-mapped-cache miss percentages
-// analytically: ONE Mattson reuse-distance pass per line size replaces
-// one fused-replay lane per size point. The result is keyed by cache
-// size in bytes and is bit-identical (in miss counts) to a replay of
-// each geometry — exact because a plain DMC is pure set-indexed LRU.
-func dmcMissPcts(ctx context.Context, rec *trace.Recording, lineBytes int, sizesBytes []int) (map[int]float64, error) {
-	geoms := make([]cache.Params, len(sizesBytes))
-	for i, sz := range sizesBytes {
-		geoms[i] = cache.Params{SizeBytes: sz, LineBytes: lineBytes, Assoc: 1}
-	}
-	pcts, err := lruMissPcts(ctx, rec, geoms)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(sizesBytes))
-	for i, sz := range sizesBytes {
-		out[sz] = pcts[i]
 	}
 	return out, nil
 }

@@ -34,9 +34,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// DefaultOptions runs on reference inputs with full parallelism.
-func DefaultOptions() Options { return Options{Scale: workload.Ref} }
-
 // context returns the run's cancellation context.
 func (o Options) context() context.Context {
 	if o.Ctx != nil {
@@ -117,13 +114,6 @@ func orderKey(id string) string {
 	return "c" + id
 }
 
-// topAccessed returns the top-k frequently accessed values for w at
-// scale, via the sim-level singleflight profile cache (the profile
-// pass is pure, so every sweep shares one histogram scan per workload).
-func topAccessed(w workload.Workload, scale workload.Scale, k int) []uint32 {
-	return sim.Profiles.TopAccessed(w, scale, k)
-}
-
 // recording returns the shared recording of w at scale from the
 // process-wide cache: every sweep records each (workload, scale) once
 // and fans the replays across harness workers.
@@ -135,7 +125,7 @@ func recording(w workload.Workload, scale workload.Scale) (*trace.Recording, err
 	return rec, nil
 }
 
-// measureRec is sim.Measure driven from the shared recording of w.
+// measureRec measures cfg from the shared recording of w.
 func measureRec(w workload.Workload, scale workload.Scale, cfg core.Config, mo sim.MeasureOptions) (sim.MeasureResult, error) {
 	rec, err := recording(w, scale)
 	if err != nil {

@@ -176,8 +176,8 @@ func TestOrderKey(t *testing.T) {
 
 func TestTopAccessedMemoized(t *testing.T) {
 	w, _ := workload.Get("goboard")
-	a := topAccessed(w, workload.Test, 7)
-	b := topAccessed(w, workload.Test, 10)
+	a := sim.Profiles.TopAccessed(w, workload.Test, 7)
+	b := sim.Profiles.TopAccessed(w, workload.Test, 10)
 	if len(a) != 7 || len(b) != 10 {
 		t.Fatalf("lengths %d/%d", len(a), len(b))
 	}
@@ -242,21 +242,23 @@ func TestDMCMissPctsMatchesReplay(t *testing.T) {
 	}
 	const line = 32
 	sizes := []int{4 << 10, 8 << 10, 16 << 10, 64 << 10}
-	analytic, err := dmcMissPcts(context.Background(), rec, line, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var geoms []cache.Params
 	var cfgs []core.Config
 	for _, sz := range sizes {
-		cfgs = append(cfgs, core.Config{Main: cache.Params{SizeBytes: sz, LineBytes: line, Assoc: 1}})
+		geoms = append(geoms, cache.Params{SizeBytes: sz, LineBytes: line, Assoc: 1})
+		cfgs = append(cfgs, core.Config{Main: geoms[len(geoms)-1]})
+	}
+	analytic, err := lruMissPcts(context.Background(), rec, geoms)
+	if err != nil {
+		t.Fatal(err)
 	}
 	replay, err := sim.MeasureRecordedBatch(rec, cfgs, sim.MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sz := range sizes {
-		if want := replay[i].Stats.MissRate() * 100; analytic[sz] != want {
-			t.Errorf("%dKB: analytic %v%%, replay %v%%", sz>>10, analytic[sz], want)
+		if want := replay[i].Stats.MissRate() * 100; analytic[i] != want {
+			t.Errorf("%dKB: analytic %v%%, replay %v%%", sz>>10, analytic[i], want)
 		}
 	}
 }

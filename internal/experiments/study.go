@@ -350,9 +350,9 @@ func runTab2(opt Options, out io.Writer) error {
 		"benchmark", "test 7", "test 10", "train 7", "train 10")
 	rows, err := pmap(opt, len(suite), func(i int) ([]string, error) {
 		w := suite[i]
-		ref := topAccessed(w, workload.Ref, 10)
-		test := topAccessed(w, workload.Test, 10)
-		train := topAccessed(w, workload.Train, 10)
+		ref := sim.Profiles.TopAccessed(w, workload.Ref, 10)
+		test := sim.Profiles.TopAccessed(w, workload.Test, 10)
+		train := sim.Profiles.TopAccessed(w, workload.Train, 10)
 		return []string{
 			label(w),
 			fmt.Sprintf("%d/7", freqval.Overlap(test, ref, 7)),

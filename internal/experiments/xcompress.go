@@ -8,6 +8,7 @@ import (
 	"fvcache/internal/fpc"
 	"fvcache/internal/fvc"
 	"fvcache/internal/report"
+	"fvcache/internal/sim"
 	"fvcache/internal/trace"
 )
 
@@ -40,7 +41,7 @@ func runXCompress(opt Options, out io.Writer) error {
 
 		// FV-compressed cache of the same physical size, using the
 		// same profiled top-7 values.
-		tbl, err := fvc.NewTable(3, topAccessed(w, opt.Scale, 7))
+		tbl, err := fvc.NewTable(3, sim.Profiles.TopAccessed(w, opt.Scale, 7))
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"fvcache/internal/harness"
 	"fvcache/internal/obs"
 	"fvcache/internal/trace"
-	"fvcache/internal/workload"
 )
 
 // MeasureRecordedBatch is the measurement driver every replayed
@@ -21,11 +20,11 @@ import (
 // pays the trace traversal once instead of K times; MeasureRecorded is
 // the batch of one.
 //
-// The pass runs through one boundary loop (replaySpan). Hooks fire at
-// the same access counts as the live Measure, so snapshots, FVC
-// samples and audits observe each system where a live run would, and
-// results are bit-identical to it. A failure (audit violation or
-// simulator panic) aborts the whole batch.
+// The pass runs through one boundary loop (replaySpan). Hooks fire
+// after exactly the access counts opt names, so the warmup snapshot,
+// FVC samples and audits observe each system where a run stepped one
+// access at a time would. A failure (audit violation or simulator
+// panic) aborts the whole batch.
 func MeasureRecordedBatch(rec *trace.Recording, cfgs []core.Config, opt MeasureOptions) ([]MeasureResult, error) {
 	if err := ctxErr(opt.Ctx, "replay"); err != nil {
 		return nil, err
@@ -206,20 +205,11 @@ func (oc *outcome) results(cc []core.Config, audit bool) ([]MeasureResult, error
 	return out, nil
 }
 
-// MeasureBatch is MeasureRecordedBatch driven from the shared
-// recording cache: the sweep's one execution of (w, scale) fans the
-// whole configuration batch through a single fused replay pass.
-func MeasureBatch(w workload.Workload, scale workload.Scale, cfgs []core.Config, opt MeasureOptions) ([]MeasureResult, error) {
-	rec, err := Recordings.Get(w, scale)
-	if err != nil {
-		return nil, err
-	}
-	return MeasureRecordedBatch(rec, cfgs, opt)
-}
-
-// MissAttributionSets is MissAttribution driven from a recording, for
-// several value sets at once: one replay pass classifies every miss
-// against each set, instead of re-simulating the hierarchy per set.
+// MissAttributionSets replays rec against a plain main cache built
+// from cfg and returns the total misses and, per value set, the misses
+// whose accessed value is in that set — the paper's Figure 4
+// measurement. One replay pass classifies every miss against each set,
+// instead of re-simulating the hierarchy per set.
 func MissAttributionSets(rec *trace.Recording, cfg core.Config, sets [][]uint32) (total uint64, attributed []uint64, err error) {
 	sys, err := core.New(cfg)
 	if err != nil {

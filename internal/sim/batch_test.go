@@ -2,12 +2,14 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
 	"fvcache/internal/cache"
 	"fvcache/internal/core"
 	"fvcache/internal/fvc"
+	"fvcache/internal/trace"
 	"fvcache/internal/workload"
 )
 
@@ -16,7 +18,7 @@ import (
 // (associative main cache, L2, online FVT sketch).
 func batchConfigs(w workload.Workload) []core.Config {
 	main := cache.Params{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1}
-	fvt := ProfileTopAccessed(w, workload.Test, 7)
+	fvt := Profiles.TopAccessed(w, workload.Test, 7)
 	return []core.Config{
 		{Main: main},
 		{Main: main, FVC: &fvc.Params{Entries: 256, LineBytes: main.LineBytes, Bits: 3}, FrequentValues: fvt},
@@ -61,39 +63,12 @@ func TestBatchReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchReplayEquivalenceHooks checks the chunked hook path against
-// the live oracle: warmup exclusion, FVC content sampling and periodic
-// audits must observe the same access boundaries as a live Measure,
-// making the whole MeasureResult — not just Stats — identical.
+// TestBatchReplayEquivalenceHooks checks the fused hook path against
+// the oracle: warmup exclusion, FVC content sampling and periodic
+// audits must observe the same access boundaries, making every
+// config's whole MeasureResult — not just Stats — identical.
 func TestBatchReplayEquivalenceHooks(t *testing.T) {
-	w, err := workload.Get("ccomp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recordings.Get(w, workload.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := batchConfigs(w)
-	opt := MeasureOptions{
-		WarmupAccesses: 10_000,
-		SampleEvery:    5_000,
-		AuditEvery:     50_000,
-		VerifyValues:   true,
-	}
-	batch, err := MeasureRecordedBatch(rec, cfgs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		live, err := Measure(w, workload.Test, cfg, opt)
-		if err != nil {
-			t.Fatalf("config %d: %v", i, err)
-		}
-		if batch[i] != live {
-			t.Errorf("config %d: hooked batch result diverges\nbatch: %+v\nlive:  %+v", i, batch[i], live)
-		}
-	}
+	checkHooks(t, MeasureRecordedBatch)
 }
 
 // TestBatchReplayConcurrent replays the same shared recording from
@@ -121,7 +96,7 @@ func TestBatchReplayConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ProfileTopAccessed(w, workload.Test, 7) // shared singleflight cache
+			Profiles.TopAccessed(w, workload.Test, 7) // shared singleflight cache
 			got, err := MeasureRecordedBatch(rec, cfgs, MeasureOptions{})
 			if err != nil {
 				t.Error(err)
@@ -156,7 +131,7 @@ func TestBatchReplayZeroAllocs(t *testing.T) {
 	set, err := core.NewSet([]core.Config{
 		{Main: main},
 		{Main: main, FVC: &fvc.Params{Entries: 256, LineBytes: main.LineBytes, Bits: 3},
-			FrequentValues: ProfileTopAccessed(w, workload.Test, 7)},
+			FrequentValues: Profiles.TopAccessed(w, workload.Test, 7)},
 		{Main: main, VictimEntries: 8},
 	})
 	if err != nil {
@@ -179,8 +154,29 @@ func TestBatchReplayZeroAllocs(t *testing.T) {
 	}
 }
 
+// attributeMisses is the Figure 4 oracle: a System stepped access by
+// access over the recording's access columns, counting its misses and
+// those whose value is in values.
+func attributeMisses(rec *trace.Recording, cfg core.Config, values []uint32) (total, attributed uint64, err error) {
+	sys, err := core.New(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	ops, addrs, vals := rec.AccessColumns()
+	for i, op := range ops {
+		if sys.Access(op, addrs[i], vals[i]) == core.Miss {
+			total++
+			if slices.Contains(values, vals[i]) {
+				attributed++
+			}
+		}
+	}
+	return total, attributed, nil
+}
+
 // TestMissAttributionSetsParity checks the multi-set attribution pass
-// against the live oracle, one MissAttribution call per set.
+// against the oracle, one pass per set, including an empty set and
+// two sets that overlap.
 func TestMissAttributionSetsParity(t *testing.T) {
 	w, err := workload.Get("lispint")
 	if err != nil {
@@ -191,16 +187,20 @@ func TestMissAttributionSetsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Main: cache.Params{SizeBytes: 8 << 10, LineBytes: 16, Assoc: 1}}
+	top := Profiles.TopAccessed(w, workload.Test, 10)
 	sets := [][]uint32{
-		ProfileTopAccessed(w, workload.Test, 10),
+		top,
 		{0, 1, 0xffffffff},
+		{},
+		top[:5],
+		top[3:],
 	}
 	total, attr, err := MissAttributionSets(rec, cfg, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, values := range sets {
-		soloTotal, soloAttr, err := MissAttribution(w, workload.Test, cfg, values)
+		soloTotal, soloAttr, err := attributeMisses(rec, cfg, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,6 +208,9 @@ func TestMissAttributionSetsParity(t *testing.T) {
 			t.Errorf("set %d: fused attribution diverges: total %d vs %d, attributed %d vs %d",
 				i, total, soloTotal, attr[i], soloAttr)
 		}
+	}
+	if attr[2] != 0 {
+		t.Errorf("empty set attributed %d misses", attr[2])
 	}
 }
 
@@ -281,39 +284,12 @@ func TestParallelReplayEquivalence(t *testing.T) {
 
 // TestParallelReplayHookParity checks that a hooked replay (warmup
 // exclusion, FVC sampling, audits, value verification) asking for a
-// replay width still matches the live Measure exactly.
+// replay width still matches the oracle exactly.
 func TestParallelReplayHookParity(t *testing.T) {
-	w, err := workload.Get("ccomp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recordings.Get(w, workload.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := batchConfigs(w)
-	base := MeasureOptions{
-		WarmupAccesses: 10_000,
-		SampleEvery:    5_000,
-		AuditEvery:     50_000,
-		VerifyValues:   true,
-	}
 	for _, width := range []int{1, 3} {
-		opt := base
-		opt.Parallelism = width
-		got, err := MeasureRecordedBatch(rec, cfgs, opt)
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", width, err)
-		}
-		for i, cfg := range cfgs {
-			live, err := Measure(w, workload.Test, cfg, base)
-			if err != nil {
-				t.Fatalf("config %d: %v", i, err)
-			}
-			if got[i] != live {
-				t.Errorf("parallelism=%d config %d: hooked result diverges\ngot:  %+v\nlive: %+v",
-					width, i, got[i], live)
-			}
-		}
+		checkHooks(t, func(rec *trace.Recording, cfgs []core.Config, opt MeasureOptions) ([]MeasureResult, error) {
+			opt.Parallelism = width
+			return MeasureRecordedBatch(rec, cfgs, opt)
+		})
 	}
 }

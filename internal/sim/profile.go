@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"fvcache/internal/freqval"
-	"fvcache/internal/memsim"
 	"fvcache/internal/trace"
 	"fvcache/internal/workload"
 )
@@ -20,8 +19,8 @@ type profEntry struct {
 	vals []uint32
 }
 
-// ProfileCache memoizes ProfileTopAccessed-derived frequent value
-// tables per (workload, scale). Like the Recordings cache it
+// ProfileCache memoizes profile-derived frequent value tables per
+// (workload, scale). Like the Recordings cache it
 // singleflights concurrent requests: a sweep that attaches FVCs at
 // many entry points derives the workload's FVT from one histogram
 // scan instead of once per configuration point. Cached slices are
@@ -31,9 +30,11 @@ type ProfileCache struct {
 	entries map[recKey]*profEntry
 }
 
-// TopAccessed returns w's k most frequently accessed values at scale,
+// TopAccessed returns w's k most frequently accessed values at scale
+// (the FVT a profile-directed compiler/loader would install),
 // profiling on first use. Requests beyond the cached prefix size fall
-// through to an uncached profile pass.
+// through to an uncached profile pass. It returns nil when w cannot be
+// recorded; Recordings.Get reports why.
 func (c *ProfileCache) TopAccessed(w workload.Workload, scale workload.Scale, k int) []uint32 {
 	if k > profileTop {
 		return profileTopAccessed(w, scale, k)
@@ -70,16 +71,16 @@ var Profiles ProfileCache
 // profileTopAccessed performs the uncached profile pass: the value
 // histogram counts the access value column of the shared recording of
 // w, so a profile pass followed by measurement runs executes the
-// workload only once. If recording fails the profile falls back to a
-// live run.
+// workload only once. A workload that cannot be recorded has no
+// profile: workloads are deterministic, so running it again would
+// fail the same way.
 func profileTopAccessed(w workload.Workload, scale workload.Scale, k int) []uint32 {
-	h := trace.NewValueHistogram()
-	if rec, err := Recordings.Get(w, scale); err == nil {
-		_, _, vals := rec.AccessColumns()
-		h.AddValues(vals)
-	} else {
-		env := memsim.NewEnv(h)
-		w.Run(env, scale)
+	rec, err := Recordings.Get(w, scale)
+	if err != nil {
+		return nil
 	}
+	h := trace.NewValueHistogram()
+	_, _, vals := rec.AccessColumns()
+	h.AddValues(vals)
 	return freqval.TopAccessed(h, k)
 }

@@ -103,9 +103,9 @@ func ReplayInto(rec *trace.Recording, sys *core.System) {
 	obs.ReplayEvents.Add(uint64(len(ops)))
 }
 
-// MeasureRecorded is Measure driven from a recording: a batch of one
-// through MeasureRecordedBatch. For a recording of w at scale the
-// result, hooks included, is bit-identical to Measure(w, scale, ...).
+// MeasureRecorded measures one configuration from a recording: a batch
+// of one through MeasureRecordedBatch. For a recording of w at scale
+// and no warmup, its Stats are bit-identical to Measure(w, scale, cfg).
 func MeasureRecorded(rec *trace.Recording, cfg core.Config, opt MeasureOptions) (MeasureResult, error) {
 	out, err := MeasureRecordedBatch(rec, []core.Config{cfg}, opt)
 	if err != nil {

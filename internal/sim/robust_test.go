@@ -10,6 +10,7 @@ import (
 	"fvcache/internal/fvc"
 	"fvcache/internal/harness"
 	"fvcache/internal/memsim"
+	"fvcache/internal/trace"
 	"fvcache/internal/workload"
 )
 
@@ -42,7 +43,7 @@ func smallFVCConfig() core.Config {
 // workload into an error carrying the recovered stack, instead of
 // killing the process.
 func TestMeasureRecoversWorkloadPanic(t *testing.T) {
-	_, err := Measure(panicker{}, workload.Test, smallFVCConfig(), MeasureOptions{})
+	_, err := Measure(panicker{}, workload.Test, smallFVCConfig())
 	if err == nil {
 		t.Fatal("Measure returned nil for a panicking workload")
 	}
@@ -54,14 +55,25 @@ func TestMeasureRecoversWorkloadPanic(t *testing.T) {
 	}
 }
 
-// TestMeasureAuditEvery: a healthy run passes the periodic and final
-// audits; the real workloads exercise the full protocol.
-func TestMeasureAuditEvery(t *testing.T) {
+// firstRecording returns the recording of the first registered
+// workload at test scale.
+func firstRecording(t *testing.T) *trace.Recording {
+	t.Helper()
 	ws := workload.All()
 	if len(ws) == 0 {
 		t.Skip("no workloads registered")
 	}
-	res, err := Measure(ws[0], workload.Test, smallFVCConfig(),
+	rec, err := Recordings.Get(ws[0], workload.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestMeasureAuditEvery: a healthy replay passes the periodic and
+// final audits; the real workloads exercise the full protocol.
+func TestMeasureAuditEvery(t *testing.T) {
+	res, err := MeasureRecorded(firstRecording(t), smallFVCConfig(),
 		MeasureOptions{AuditEvery: 128, VerifyValues: true})
 	if err != nil {
 		t.Fatalf("audited measurement failed: %v", err)
@@ -74,15 +86,12 @@ func TestMeasureAuditEvery(t *testing.T) {
 // TestMeasureAuditEveryStatsUnchanged: auditing is observation only —
 // the measured statistics must be identical with and without it.
 func TestMeasureAuditEveryStatsUnchanged(t *testing.T) {
-	ws := workload.All()
-	if len(ws) == 0 {
-		t.Skip("no workloads registered")
-	}
-	plain, err := Measure(ws[0], workload.Test, smallFVCConfig(), MeasureOptions{})
+	rec := firstRecording(t)
+	plain, err := MeasureRecorded(rec, smallFVCConfig(), MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	audited, err := Measure(ws[0], workload.Test, smallFVCConfig(), MeasureOptions{AuditEvery: 64})
+	audited, err := MeasureRecorded(rec, smallFVCConfig(), MeasureOptions{AuditEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +103,7 @@ func TestMeasureAuditEveryStatsUnchanged(t *testing.T) {
 // TestMeasureErrorUnwraps: the recovered panic stays reachable through
 // the error chain, so callers can errors.As for *harness.PanicError.
 func TestMeasureErrorUnwraps(t *testing.T) {
-	_, err := Measure(panicker{}, workload.Test, smallFVCConfig(), MeasureOptions{})
+	_, err := Measure(panicker{}, workload.Test, smallFVCConfig())
 	var pe *harness.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want wrapped *harness.PanicError", err)

@@ -24,7 +24,7 @@ func wl(t *testing.T, name string) workload.Workload {
 }
 
 func TestProfileTopAccessed(t *testing.T) {
-	vals := ProfileTopAccessed(wl(t, "goboard"), workload.Test, 7)
+	vals := Profiles.TopAccessed(wl(t, "goboard"), workload.Test, 7)
 	if len(vals) != 7 {
 		t.Fatalf("got %d values, want 7", len(vals))
 	}
@@ -86,38 +86,42 @@ func TestRecordExactColumns(t *testing.T) {
 func TestMeasurePlainVsFVC(t *testing.T) {
 	w := wl(t, "goboard")
 	main := cache.Params{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1}
-	base, err := Measure(w, workload.Test, core.Config{Main: main}, MeasureOptions{})
+	base, err := Measure(w, workload.Test, core.Config{Main: main})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := ProfileTopAccessed(w, workload.Test, 7)
+	vals := Profiles.TopAccessed(w, workload.Test, 7)
 	aug, err := Measure(w, workload.Test, core.Config{
 		Main:           main,
 		FVC:            &fvc.Params{Entries: 128, LineBytes: 32, Bits: 3},
 		FrequentValues: vals,
-	}, MeasureOptions{VerifyValues: true})
+		VerifyValues:   true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Stats.Accesses() != aug.Stats.Accesses() {
-		t.Fatalf("access counts differ: %d vs %d", base.Stats.Accesses(), aug.Stats.Accesses())
+	if base.Accesses() != aug.Accesses() {
+		t.Fatalf("access counts differ: %d vs %d", base.Accesses(), aug.Accesses())
 	}
-	if aug.Stats.Misses >= base.Stats.Misses {
+	if aug.Misses >= base.Misses {
 		t.Errorf("FVC should reduce misses on goboard: base=%d fvc=%d",
-			base.Stats.Misses, aug.Stats.Misses)
+			base.Misses, aug.Misses)
 	}
-	if aug.Stats.FVCHits == 0 {
+	if aug.FVCHits == 0 {
 		t.Error("expected FVC hits")
 	}
 }
 
 func TestMeasureSampling(t *testing.T) {
 	w := wl(t, "goboard")
-	vals := ProfileTopAccessed(w, workload.Test, 7)
-	res, err := Measure(w, workload.Test, core.Config{
+	rec, err := Recordings.Get(w, workload.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MeasureRecorded(rec, core.Config{
 		Main:           cache.Params{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1},
 		FVC:            &fvc.Params{Entries: 128, LineBytes: 32, Bits: 3},
-		FrequentValues: vals,
+		FrequentValues: Profiles.TopAccessed(w, workload.Test, 7),
 	}, MeasureOptions{SampleEvery: 10_000})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +135,7 @@ func TestMeasureSampling(t *testing.T) {
 }
 
 func TestMeasureBadConfig(t *testing.T) {
-	_, err := Measure(wl(t, "goboard"), workload.Test, core.Config{}, MeasureOptions{})
+	_, err := Measure(wl(t, "goboard"), workload.Test, core.Config{})
 	if err == nil {
 		t.Error("zero config must error")
 	}
@@ -140,11 +144,15 @@ func TestMeasureBadConfig(t *testing.T) {
 func TestMissAttribution(t *testing.T) {
 	w := wl(t, "goboard")
 	cfg := core.Config{Main: cache.Params{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1}}
-	vals := ProfileTopAccessed(w, workload.Test, 10)
-	total, attr, err := MissAttribution(w, workload.Test, cfg, vals)
+	rec, err := Recordings.Get(w, workload.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	total, attrs, err := MissAttributionSets(rec, cfg, [][]uint32{Profiles.TopAccessed(w, workload.Test, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr := attrs[0]
 	if total == 0 {
 		t.Fatal("expected misses")
 	}
@@ -157,19 +165,16 @@ func TestMissAttribution(t *testing.T) {
 	}
 }
 
-// TestMeasureCtxCancelled: every measurement entry point must refuse a
-// context that is already cancelled, and an uncancelled context must
-// not perturb results (a cancellable replay only cuts the same bulk
-// replay loop at the context-check cadence).
+// TestMeasureCtxCancelled: every replayed measurement entry point must
+// refuse a context that is already cancelled, and an uncancelled
+// context must not perturb results (a cancellable replay only cuts the
+// same bulk replay loop at the context-check cadence).
 func TestMeasureCtxCancelled(t *testing.T) {
 	w := wl(t, "goboard")
 	cfg := core.Config{Main: cache.Params{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 1}}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := Measure(w, workload.Test, cfg, MeasureOptions{Ctx: cancelled}); !errors.Is(err, context.Canceled) {
-		t.Errorf("Measure with cancelled ctx: err = %v, want context.Canceled", err)
-	}
 	rec, err := Recordings.Get(w, workload.Test)
 	if err != nil {
 		t.Fatal(err)

@@ -11,11 +11,15 @@ import (
 func TestWarmupExcludesColdMisses(t *testing.T) {
 	w := wl(t, "goboard")
 	cfg := core.Config{Main: cache.Params{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1}}
-	full, err := Measure(w, workload.Test, cfg, MeasureOptions{})
+	rec, err := Recordings.Get(w, workload.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmed, err := Measure(w, workload.Test, cfg, MeasureOptions{WarmupAccesses: 50_000})
+	full, err := MeasureRecorded(rec, cfg, MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed, err := MeasureRecorded(rec, cfg, MeasureOptions{WarmupAccesses: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +42,15 @@ func TestWarmupExcludesColdMisses(t *testing.T) {
 func TestWarmupZeroIsWholeRun(t *testing.T) {
 	w := wl(t, "lispint")
 	cfg := core.Config{Main: cache.Params{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1}}
-	a, err := Measure(w, workload.Test, cfg, MeasureOptions{})
+	rec, err := Recordings.Get(w, workload.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(w, workload.Test, cfg, MeasureOptions{WarmupAccesses: 0})
+	a, err := MeasureRecorded(rec, cfg, MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MeasureRecorded(rec, cfg, MeasureOptions{WarmupAccesses: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

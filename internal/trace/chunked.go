@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"fvcache/internal/obs"
 )
@@ -13,9 +12,9 @@ import (
 // Chunked columnar trace compression
 //
 // A ChunkedRecording re-encodes a Recording's access columns as
-// fixed-size chunks of compressed column streams. It is the input of
-// the reuse-distance analysis in internal/mrc, which streams the
-// address column chunk by chunk:
+// fixed-size chunks of compressed column streams. No engine reads it:
+// it survives for the compressed-size and decode-cost measurements of
+// cmd/benchsweep and perfbench. The columns are:
 //
 //   - ops: one bit per access (store=1), 8x smaller than the op byte
 //     column and branch-free to expand.
@@ -130,9 +129,6 @@ func (c *ChunkedRecording) Chunks() int { return len(c.chunks) }
 
 // Accesses returns the total number of encoded accesses.
 func (c *ChunkedRecording) Accesses() uint64 { return c.accesses }
-
-// ChunkLen returns the number of accesses in chunk i.
-func (c *ChunkedRecording) ChunkLen(i int) int { return c.chunks[i].n }
 
 // CompressedBytes returns the total compressed size: columns and
 // per-chunk headers.
@@ -266,54 +262,4 @@ func (c *ChunkedRecording) DecodeChunk(i int, s *ChunkScratch) (ops []Op, addrs,
 		return nil, nil, nil, c.corrupt(i, pos, base+uint64(n), fmt.Errorf("%d trailing bytes in value column", len(ch.vals)-pos))
 	}
 	return s.ops, s.addrs, s.vals, nil
-}
-
-// DecodeChunkAddrs expands only chunk i's address column into s and
-// returns the decoded addresses (an alias of s's buffer, valid until
-// the next decode into s). Consumers that are functions of the address
-// stream alone — the reuse-distance analysis in internal/mrc — skip
-// the store-bitset expansion and the value column entirely, roughly
-// halving decode work per access. Corrupt chunk bytes yield a
-// *CorruptError; the scratch contents are then undefined.
-func (c *ChunkedRecording) DecodeChunkAddrs(i int, s *ChunkScratch) (addrs []uint32, err error) {
-	ch := &c.chunks[i]
-	n := ch.n
-	base := c.starts[i]
-	s.addrs = growU32(s.addrs, n)
-	pos := 0
-	prev := uint32(0)
-	for j := 0; j < n; j++ {
-		var u uint64
-		var uerr error
-		if j == 0 {
-			u, pos, uerr = chunkUvarint(ch.addrs, pos, maxValueUvarint)
-			if uerr != nil {
-				return nil, c.corrupt(i, pos, base+uint64(j), uerr)
-			}
-			prev = uint32(u)
-		} else {
-			u, pos, uerr = chunkUvarint(ch.addrs, pos, maxDeltaUvarint)
-			if uerr != nil {
-				return nil, c.corrupt(i, pos, base+uint64(j), uerr)
-			}
-			prev = uint32(int64(prev) + unzigzag(u))
-		}
-		s.addrs[j] = prev
-	}
-	if pos != len(ch.addrs) {
-		return nil, c.corrupt(i, pos, base+uint64(n), fmt.Errorf("%d trailing bytes in addr column", len(ch.addrs)-pos))
-	}
-	return s.addrs, nil
-}
-
-// ChunkStoreCount returns the number of store accesses in chunk i: a
-// popcount over the packed store bitset, so callers that need only the
-// load/store split (not the per-access op column) never expand it.
-func (c *ChunkedRecording) ChunkStoreCount(i int) int {
-	ch := &c.chunks[i]
-	n := 0
-	for _, b := range ch.stores {
-		n += bits.OnesCount8(b)
-	}
-	return n
 }

@@ -68,8 +68,8 @@ func TestChunkedRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("chunk %d: decode: %v", i, err)
 				}
-				if len(dops) != c.ChunkLen(i) {
-					t.Fatalf("chunk %d: len=%d want %d", i, len(dops), c.ChunkLen(i))
+				if want := min(chunk, n-i*chunk); len(dops) != want {
+					t.Fatalf("chunk %d: len=%d want %d", i, len(dops), want)
 				}
 				for j := range dops {
 					if dops[j] != ops[pos+j] || daddrs[j] != addrs[pos+j] || dvals[j] != vals[pos+j] {
@@ -244,55 +244,4 @@ func FuzzColumnCodec(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestDecodeChunkAddrsMatchesFullDecode pins the address-only decode
-// path to the full decode: same addresses, and the store popcount
-// equals the expanded op column's store count, chunk by chunk.
-func TestDecodeChunkAddrsMatchesFullDecode(t *testing.T) {
-	ops, addrs, vals := synthColumns(10_000, 99)
-	c := CompressColumns(ops, addrs, vals, 777) // prime: exercises a partial tail chunk
-	var full, only ChunkScratch
-	for i := 0; i < c.Chunks(); i++ {
-		fops, faddrs, _, err := c.DecodeChunk(i, &full)
-		if err != nil {
-			t.Fatalf("chunk %d: full decode: %v", i, err)
-		}
-		oaddrs, err := c.DecodeChunkAddrs(i, &only)
-		if err != nil {
-			t.Fatalf("chunk %d: addr decode: %v", i, err)
-		}
-		if len(oaddrs) != len(faddrs) {
-			t.Fatalf("chunk %d: addr-only decoded %d addrs, full %d", i, len(oaddrs), len(faddrs))
-		}
-		for j := range faddrs {
-			if oaddrs[j] != faddrs[j] {
-				t.Fatalf("chunk %d access %d: addr-only %#x, full %#x", i, j, oaddrs[j], faddrs[j])
-			}
-		}
-		stores := 0
-		for _, op := range fops {
-			if op == Store {
-				stores++
-			}
-		}
-		if got := c.ChunkStoreCount(i); got != stores {
-			t.Fatalf("chunk %d: ChunkStoreCount = %d, op column has %d stores", i, got, stores)
-		}
-	}
-}
-
-// TestDecodeChunkAddrsCorrupt verifies the addr-only decode rejects a
-// truncated address column with a located *CorruptError, like the full
-// decode does.
-func TestDecodeChunkAddrsCorrupt(t *testing.T) {
-	ops, addrs, vals := synthColumns(512, 7)
-	c := CompressColumns(ops, addrs, vals, 256)
-	c.chunks[0].addrs = c.chunks[0].addrs[:len(c.chunks[0].addrs)-1]
-	var s ChunkScratch
-	_, err := c.DecodeChunkAddrs(0, &s)
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("truncated addr column: got %v, want *CorruptError", err)
-	}
 }
